@@ -93,7 +93,7 @@ void BM_CompositeCheck_SubsystemSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_CompositeCheck_SubsystemSweep)
     ->RangeMultiplier(2)
-    ->Range(1, 16)
+    ->Range(1, 256)
     ->Complexity();
 
 // -- Sweep: claim size -------------------------------------------------------------

@@ -833,27 +833,160 @@ std::optional<Word> shortest_word(const Dfa& dfa) {
   return word;
 }
 
+LiveRows::LiveRows(const Dfa& dfa) : scope_(kernel_arena()), dfa_(dfa) {
+  const std::size_t n = dfa.state_count();
+  const std::size_t k = dfa.alphabet().size();
+  const StateId* raw = dfa.transition_table().data();
+  support::Arena& arena = scope_.arena();
+
+  // Rejecting absorbing states are dead on sight; a non-sink row usually
+  // stops the scan at its first cell.
+  char* sink = arena.allocate_array<char>(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const StateId* row = raw + s * k;
+    sink[s] = !dfa.is_accepting(static_cast<StateId>(s)) &&
+              std::all_of(row, row + k, [s](StateId t) { return t == s; });
+  }
+
+  // The one pass over the table: every edge not into a sink, letters
+  // ascending per row.  Sinks absorb most edges of a complete DFA, so the
+  // edge arrays start small and double when full.
+  std::uint32_t* offsets = arena.allocate_array<std::uint32_t>(n + 1);
+  std::size_t cap = 2 * n + 16;
+  std::uint32_t* letters = arena.allocate_array<std::uint32_t>(cap);
+  StateId* targets = arena.allocate_array<StateId>(cap);
+  std::size_t edges = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    offsets[s] = static_cast<std::uint32_t>(edges);
+    if (sink[s] != 0) continue;
+    const StateId* row = raw + s * k;
+    for (std::size_t letter = 0; letter < k; ++letter) {
+      if (sink[row[letter]] != 0) continue;
+      if (edges == cap) {
+        std::uint32_t* more_letters =
+            arena.allocate_array<std::uint32_t>(cap * 2);
+        StateId* more_targets = arena.allocate_array<StateId>(cap * 2);
+        std::copy_n(letters, edges, more_letters);
+        std::copy_n(targets, edges, more_targets);
+        letters = more_letters;
+        targets = more_targets;
+        cap *= 2;
+      }
+      letters[edges] = static_cast<std::uint32_t>(letter);
+      targets[edges] = row[letter];
+      ++edges;
+    }
+  }
+  offsets[n] = static_cast<std::uint32_t>(edges);
+
+  // Liveness over the kept edges: reverse them by counting sort on the
+  // target, then BFS backwards from the accepting states.
+  std::uint32_t* in = arena.allocate_array<std::uint32_t>(n + 1);
+  std::fill_n(in, n + 1, 0);
+  for (std::size_t e = 0; e < edges; ++e) ++in[targets[e] + 1];
+  for (std::size_t t = 0; t < n; ++t) in[t + 1] += in[t];
+  StateId* preds = arena.allocate_array<StateId>(edges);
+  StateId* work = arena.allocate_array<StateId>(n);  // fill cursors first
+  std::copy_n(in, n, work);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::uint32_t e = offsets[s]; e < offsets[s + 1]; ++e) {
+      preds[work[targets[e]]++] = static_cast<StateId>(s);
+    }
+  }
+  const std::size_t width = word_stride(n);
+  std::uint64_t* live = arena.allocate_array<std::uint64_t>(width);
+  std::copy_n(dfa.accepting_words(), width, live);
+  std::size_t tail = 0;
+  for (std::size_t w = 0; w < width; ++w) {
+    for (std::uint64_t bits = live[w]; bits != 0; bits &= bits - 1) {
+      work[tail++] = static_cast<StateId>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
+  for (std::size_t head = 0; head < tail; ++head) {
+    const StateId t = work[head];
+    for (std::uint32_t i = in[t]; i < in[t + 1]; ++i) {
+      const StateId p = preds[i];
+      const std::uint64_t bit = std::uint64_t{1} << (p % 64);
+      if ((live[p / 64] & bit) == 0) {
+        live[p / 64] |= bit;
+        work[tail++] = p;
+      }
+    }
+  }
+  live_ = live;
+
+  // Keep the live rows' live edges, compacted in place (order preserved).
+  std::uint32_t kept = 0;
+  for (std::size_t s = 0, begin = 0; s < n; ++s) {
+    const std::size_t end = offsets[s + 1];
+    offsets[s] = kept;
+    if (is_live(static_cast<StateId>(s))) {
+      for (std::size_t e = begin; e < end; ++e) {
+        if (!is_live(targets[e])) continue;
+        letters[kept] = letters[e];
+        targets[kept] = targets[e];
+        ++kept;
+      }
+    }
+    begin = end;
+  }
+  offsets[n] = kept;
+  offsets_ = offsets;
+  letters_ = letters;
+  targets_ = targets;
+}
+
 namespace {
 
-/// Lazy difference-emptiness: BFS over reachable (a, b) pair states looking
-/// for a pair accepted by `a` but not by `b`.  Discovery order matches
-/// shortest_word(product(a, b, kDifference)) letter for letter, so the
-/// returned witness is identical to the eager pipeline's -- it just never
-/// materializes the n·m product table.  Both inputs must share an alphabet.
-/// The visited/parent store is a flat open-addressed table keyed by packed
-/// pair id (replacing unordered_map: no per-node allocations).
-std::optional<Word> lazy_difference_witness(const Dfa& a, const Dfa& b) {
-  const std::size_t k = a.alphabet().size();
+/// What the right-hand DFA of a pair search does on a letter outside its
+/// alphabet: fall into a rejecting sink (extend_alphabet) or stay where it
+/// is (extend_alphabet_ignore).
+enum class Missing { kSink, kStay };
+
+/// Lazy difference-emptiness over the pairs (x, y) of `rows.dfa()` and `b`:
+/// a BFS looking for a pair accepted by the left side but not by `b`, that
+/// walks the left side's live rows and steps `b` through a letter map.
+///
+/// The witness is identical to shortest_word(product(ax, bx, kDifference))
+/// over the operands extended to the joined alphabet.  A witness lies in
+/// the left language, and a pair at a dead left state only reaches dead
+/// pairs, so skipping those pairs keeps every live pair in the same FIFO
+/// position; the live rows keep the joined alphabet's letter order.  The
+/// visited set is an open-addressed key table and the FIFO doubles as the
+/// parent store, both in the kernel arena.
+std::optional<Word> live_pair_search(support::trace::Span& span,
+                                     const LiveRows& rows, const Dfa& b,
+                                     Missing missing) {
+  const Dfa& a = rows.dfa();
+  const std::vector<Symbol>& sigma = a.alphabet();
+  const std::vector<Symbol>& sigma_b = b.alphabet();
+  const std::size_t kb = sigma_b.size();
+  const StateId* table_b = b.transition_table().data();
   const std::uint64_t m = b.state_count();
-  const auto key = [m](StateId x, StateId y) {
-    return static_cast<std::uint64_t>(x) * m + y;
-  };
+  // extend_alphabet numbers its fresh sink one past b's states; without a
+  // sink no state can carry that id.
+  const StateId sink =
+      missing == Missing::kSink ? static_cast<StateId>(m) : kNoState;
+
+  support::ArenaScope scope(kernel_arena());
+  support::Arena& arena = scope.arena();
+
+  // Left letter index -> b's letter index, or kNoState when b lacks it.
+  std::uint32_t* to_b = arena.allocate_array<std::uint32_t>(sigma.size());
+  for (std::size_t i = 0, j = 0; i < sigma.size(); ++i) {
+    while (j < kb && sigma_b[j] < sigma[i]) ++j;
+    to_b[i] = j < kb && sigma_b[j] == sigma[i] ? static_cast<std::uint32_t>(j)
+                                               : kNoState;
+  }
+
   constexpr std::uint32_t kRoot = 0xffffffffu;
-  constexpr std::uint32_t kFree = 0xfffffffeu;
-  struct Slot {
-    std::uint64_t key = 0;
-    std::uint64_t from = 0;
-    std::uint32_t letter = kFree;
+  constexpr std::uint64_t kFree = ~std::uint64_t{0};
+  struct Node {
+    StateId x;
+    StateId y;
+    std::uint32_t parent;  // FIFO index of the pair this one was found from
+    std::uint32_t letter;  // left letter index of that step
   };
   const auto mix = [](std::uint64_t x) {
     // splitmix64 finalizer: pair keys are sequential-ish, so spread them.
@@ -863,71 +996,98 @@ std::optional<Word> lazy_difference_witness(const Dfa& a, const Dfa& b) {
     return x ^ (x >> 31);
   };
 
-  std::vector<Slot> slots(1024);
+  std::size_t node_cap = 64;
+  Node* nodes = arena.allocate_array<Node>(node_cap);
   std::size_t count = 0;
-  const auto find_slot = [&](std::uint64_t target) -> Slot& {
-    std::size_t at = mix(target) & (slots.size() - 1);
-    while (slots[at].letter != kFree && slots[at].key != target) {
-      at = (at + 1) & (slots.size() - 1);
+  std::size_t slot_cap = 128;
+  std::uint64_t* slots = arena.allocate_array<std::uint64_t>(slot_cap);
+  std::fill_n(slots, slot_cap, kFree);
+
+  const auto place = [&](std::uint64_t key) -> std::uint64_t& {
+    std::size_t at = mix(key) & (slot_cap - 1);
+    while (slots[at] != kFree && slots[at] != key) {
+      at = (at + 1) & (slot_cap - 1);
     }
     return slots[at];
   };
-  // Inserts (key -> prev) unless present; returns whether it was fresh.
-  const auto try_insert = [&](std::uint64_t target, std::uint64_t from,
-                              std::uint32_t letter) {
-    if ((count + 1) * 10 >= slots.size() * 7) {
-      std::vector<Slot> old(slots.size() * 2);
-      old.swap(slots);
-      for (const Slot& slot : old) {
-        if (slot.letter != kFree) find_slot(slot.key) = slot;
+  // Appends (x, y) to the FIFO unless already discovered.
+  const auto discover = [&](StateId x, StateId y, std::uint32_t parent,
+                            std::uint32_t letter) {
+    if ((count + 1) * 10 >= slot_cap * 7) {
+      const std::uint64_t* old = slots;
+      const std::size_t old_cap = slot_cap;
+      slot_cap *= 2;
+      slots = arena.allocate_array<std::uint64_t>(slot_cap);
+      std::fill_n(slots, slot_cap, kFree);
+      for (std::size_t i = 0; i < old_cap; ++i) {
+        if (old[i] != kFree) place(old[i]) = old[i];
       }
     }
-    Slot& slot = find_slot(target);
-    if (slot.letter != kFree) return false;
-    slot = Slot{target, from, letter};
-    ++count;
+    const std::uint64_t key = static_cast<std::uint64_t>(x) * (m + 1) + y;
+    std::uint64_t& slot = place(key);
+    if (slot == key) return false;
+    slot = key;
+    if (count == node_cap) {
+      Node* grown = arena.allocate_array<Node>(node_cap * 2);
+      std::memcpy(grown, nodes, count * sizeof(Node));
+      nodes = grown;
+      node_cap *= 2;
+    }
+    nodes[count++] = Node{x, y, parent, letter};
     return true;
   };
-
-  std::vector<std::pair<StateId, StateId>> work;
-  std::size_t head = 0;
-
   const auto is_goal = [&](StateId x, StateId y) {
-    return a.is_accepting(x) && !b.is_accepting(y);
+    return a.is_accepting(x) && (y == sink || !b.is_accepting(y));
   };
-  const std::uint64_t start = key(a.initial(), b.initial());
-  try_insert(start, 0, kRoot);
-  work.emplace_back(a.initial(), b.initial());
 
-  std::optional<std::uint64_t> goal;
-  if (is_goal(a.initial(), b.initial())) goal = start;
-  std::size_t popped = 0;
-  while (!goal && head < work.size()) {
-    if ((++popped & 0xFFF) == 0) {
+  // An initial state that cannot reach acceptance means L(a) is empty.
+  bool found = false;
+  if (rows.is_live(a.initial())) {
+    discover(a.initial(), b.initial(), kRoot, 0);
+    found = is_goal(a.initial(), b.initial());
+  }
+  const std::uint32_t* offsets = rows.offsets();
+  const std::uint32_t* letters = rows.letters();
+  const StateId* targets = rows.targets();
+  for (std::size_t head = 0; !found && head < count; ++head) {
+    support::guard::check_states(count, "inclusion");
+    if ((head & 0xFFF) == 0xFFF) {
       support::guard::check_deadline("fsm.inclusion");
     }
-    const auto [x, y] = work[head++];
-    const std::uint64_t from = key(x, y);
-    for (std::size_t letter = 0; letter < k && !goal; ++letter) {
-      const StateId tx = a.transition(x, letter);
-      const StateId ty = b.transition(y, letter);
-      const std::uint64_t to = key(tx, ty);
-      if (!try_insert(to, from, static_cast<std::uint32_t>(letter))) continue;
-      if (is_goal(tx, ty)) goal = to;
-      work.emplace_back(tx, ty);
+    const StateId x = nodes[head].x;
+    const StateId y = nodes[head].y;
+    for (std::uint32_t e = offsets[x]; e < offsets[x + 1]; ++e) {
+      const std::uint32_t letter = letters[e];
+      const std::uint32_t column = to_b[letter];
+      StateId ty;
+      if (column == kNoState) {
+        ty = missing == Missing::kSink ? sink : y;
+      } else {
+        ty = y == sink ? sink : table_b[y * kb + column];
+      }
+      if (!discover(targets[e], ty, static_cast<std::uint32_t>(head),
+                    letter)) {
+        continue;
+      }
+      if (is_goal(targets[e], ty)) {
+        found = true;
+        break;
+      }
     }
   }
   support::metrics::record_product_pairs(count);
-  if (!goal) return std::nullopt;
+  span.arg("included",
+           found ? std::string_view("false") : std::string_view("true"));
+  if (!found) return std::nullopt;
 
   Word word;
-  std::uint64_t at = *goal;
-  for (Slot prev = find_slot(at); prev.letter != kRoot;
-       at = prev.from, prev = find_slot(at)) {
-    word.push_back(a.alphabet()[prev.letter]);
+  for (std::size_t at = count - 1; nodes[at].parent != kRoot;
+       at = nodes[at].parent) {
+    word.push_back(sigma[nodes[at].letter]);
   }
   std::reverse(word.begin(), word.end());
   support::metrics::record_counterexample(word.size());
+  span.arg("witness_len", static_cast<std::uint64_t>(word.size()));
   return word;
 }
 
@@ -935,16 +1095,14 @@ std::optional<Word> lazy_difference_witness(const Dfa& a, const Dfa& b) {
 
 std::optional<Word> inclusion_witness(const Dfa& a, const Dfa& b) {
   support::trace::Span span("fsm.inclusion");
-  const std::vector<Symbol> joined = sorted_union(a.alphabet(), b.alphabet());
-  const Dfa ax = extend_alphabet(a, joined);
-  const Dfa bx = extend_alphabet(b, joined);
-  std::optional<Word> witness = lazy_difference_witness(ax, bx);
-  span.arg("included", witness ? std::string_view("false")
-                               : std::string_view("true"));
-  if (witness) {
-    span.arg("witness_len", static_cast<std::uint64_t>(witness->size()));
-  }
-  return witness;
+  const LiveRows rows(a);
+  return live_pair_search(span, rows, b, Missing::kSink);
+}
+
+std::optional<Word> projected_inclusion_witness(const LiveRows& system,
+                                                const Dfa& usage) {
+  support::trace::Span span("fsm.inclusion");
+  return live_pair_search(span, system, usage, Missing::kStay);
 }
 
 bool included(const Dfa& a, const Dfa& b) {
@@ -1039,47 +1197,10 @@ Nfa to_nfa(const Dfa& dfa) {
 }
 
 std::vector<bool> live_states(const Dfa& dfa) {
-  const std::size_t n = dfa.state_count();
-  const std::size_t k = dfa.alphabet().size();
-  const StateId* raw = dfa.transition_table().data();
-
-  support::ArenaScope scope(kernel_arena());
-  support::Arena& arena = scope.arena();
-  // Reverse adjacency in CSR form (counting sort by target), then BFS
-  // backwards from the accepting states.
-  std::uint32_t* off = arena.allocate_array<std::uint32_t>(n + 1);
-  std::fill_n(off, n + 1, 0);
-  for (std::size_t i = 0; i < n * k; ++i) ++off[raw[i] + 1];
-  for (std::size_t t = 0; t < n; ++t) off[t + 1] += off[t];
-  StateId* preds = arena.allocate_array<StateId>(n * k);
-  for (std::size_t i = 0; i < n * k; ++i) {
-    preds[off[raw[i]]++] = static_cast<StateId>(i / k);
-  }
-  for (std::size_t t = n; t > 0; --t) off[t] = off[t - 1];
-  off[0] = 0;
-
-  char* live = arena.allocate_array<char>(n);
-  std::fill_n(live, n, 0);
-  StateId* work = arena.allocate_array<StateId>(n);
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  for (StateId s = 0; s < n; ++s) {
-    if (dfa.is_accepting(s)) {
-      live[s] = 1;
-      work[tail++] = s;
-    }
-  }
-  while (head < tail) {
-    const StateId s = work[head++];
-    for (std::uint32_t i = off[s]; i < off[s + 1]; ++i) {
-      const StateId p = preds[i];
-      if (live[p] == 0) {
-        live[p] = 1;
-        work[tail++] = p;
-      }
-    }
-  }
-  return std::vector<bool>(live, live + n);
+  const LiveRows rows(dfa);
+  std::vector<bool> live(dfa.state_count());
+  for (StateId s = 0; s < dfa.state_count(); ++s) live[s] = rows.is_live(s);
+  return live;
 }
 
 std::size_t reachable_count(const Dfa& dfa) {

@@ -251,6 +251,8 @@ CheckResult check_composite(const ClassSpec& composite,
   const std::vector<Symbol> alphabet = model.full_alphabet();
   const fsm::Dfa system =
       fsm::minimize(fsm::determinize(model.nfa, alphabet));
+  // Built once, walked by every subsystem's inclusion search below.
+  const fsm::LiveRows system_rows(system);
 
   // Realizability of the declared op-level contract (warning only).
   if (const auto witness = unrealizable_usage(composite, model, table)) {
@@ -277,10 +279,10 @@ CheckResult check_composite(const ClassSpec& composite,
     const std::string prefix = subsystem.field + ".";
     const fsm::Dfa usage =
         fsm::minimize(fsm::determinize(usage_nfa(*sub_spec, table, prefix)));
-    // Monitor: accepts system words whose projection onto this subsystem is
-    // a valid complete usage; foreign letters are ignored via self-loops.
-    const fsm::Dfa monitor = fsm::extend_alphabet_ignore(usage, alphabet);
-    const auto witness = fsm::inclusion_witness(system, monitor);
+    // A system word is a witness when its projection onto this subsystem
+    // is not a valid complete usage: the search steps the usage DFA on its
+    // own letters and leaves it in place on every foreign one.
+    const auto witness = fsm::projected_inclusion_witness(system_rows, usage);
     if (!witness) continue;
     SubsystemError error;
     error.field = subsystem.field;
@@ -303,8 +305,9 @@ CheckResult check_composite(const ClassSpec& composite,
         fsm::map_labels(model.nfa, [&](Symbol s) {
           return op_labels.contains(s) ? Symbol{} : s;
         });
-    // Both determinizations are lazy: the tableau engine runs straight on
-    // the NFAs and never needs them.
+    // The projected determinization is lazy: the tableau engine runs
+    // straight on the NFAs and never needs it.  Claims over op labels reuse
+    // the system DFA built above.
     std::optional<fsm::Dfa> projected_dfa;
     const auto get_projected_dfa = [&]() -> const fsm::Dfa& {
       if (!projected_dfa) {
@@ -313,13 +316,7 @@ CheckResult check_composite(const ClassSpec& composite,
       }
       return *projected_dfa;
     };
-    std::optional<fsm::Dfa> full_dfa;
-    const auto get_full_dfa = [&]() -> const fsm::Dfa& {
-      if (!full_dfa) {
-        full_dfa = fsm::minimize(fsm::determinize(model.nfa, alphabet));
-      }
-      return *full_dfa;
-    };
+    const auto get_full_dfa = [&]() -> const fsm::Dfa& { return system; };
 
     for (const Claim& claim : composite.claims) {
       support::trace::Span claim_span("shelley.claim");

@@ -6,6 +6,7 @@
 #include "fsm/thompson.hpp"
 #include "rex/derivative.hpp"
 #include "rex/parser.hpp"
+#include "support/guard.hpp"
 
 namespace shelley::fsm {
 namespace {
@@ -208,6 +209,38 @@ TEST_F(DfaTest, InclusionWitnessIsShortestAndCorrect) {
   EXPECT_FALSE(inclusion_witness(rhs, lhs).has_value());
   EXPECT_TRUE(included(rhs, lhs));
   EXPECT_FALSE(included(lhs, rhs));
+}
+
+TEST_F(DfaTest, InclusionHonoursTheStateBudget) {
+  // a^i for i = 0 (mod 8) against a^i for i != 3 (mod 7): 8 and 7 states,
+  // but the search walks the pairs (i mod 8, i mod 7) up to i = 24, the
+  // first count in the left language and outside the right one.
+  const Symbol a = table_.intern("a");
+  Dfa lhs(8, {a});
+  for (StateId s = 0; s < 8; ++s) lhs.set_transition(s, 0, (s + 1) % 8);
+  lhs.set_accepting(0, true);
+  Dfa rhs(7, {a});
+  for (StateId s = 0; s < 7; ++s) {
+    rhs.set_transition(s, 0, (s + 1) % 7);
+    rhs.set_accepting(s, s != 3);
+  }
+  const Word expected(24, a);
+  EXPECT_EQ(inclusion_witness(lhs, rhs), expected);
+
+  {
+    support::guard::Limits strict;
+    strict.max_states = 8;
+    const support::guard::ScopedLimits scoped(strict);
+    try {
+      (void)inclusion_witness(lhs, rhs);
+      FAIL() << "expected ResourceError";
+    } catch (const support::guard::ResourceError& error) {
+      EXPECT_EQ(error.resource(), support::guard::Resource::kStateBudget);
+      EXPECT_NE(std::string(error.what()).find("inclusion"),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(inclusion_witness(lhs, rhs), expected);
 }
 
 TEST_F(DfaTest, EquivalenceJoinsAlphabets) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "fsm/nfa.hpp"
@@ -246,6 +247,48 @@ TEST_F(KernelTest, DfaAcceptingBitmapSurvivesMinimize) {
         __builtin_popcountll(minimal.accepting_words()[w]));
   }
   EXPECT_EQ(bits, 1u);
+}
+
+TEST_F(KernelTest, LiveRowsDropDeadTargetsAndKeepLettersAscending) {
+  // 0 -a-> 1 (accepting), 0 -b-> 2 (rejecting sink), 0 -c-> 0;
+  // 1 -a-> 0, everything else into the sink; 3 is unreachable but live.
+  Dfa dfa(4, {a_, b_, c_});
+  for (StateId s = 0; s < 4; ++s) {
+    for (std::size_t letter = 0; letter < 3; ++letter) {
+      dfa.set_transition(s, letter, 2);
+    }
+  }
+  dfa.set_transition(0, 0, 1);
+  dfa.set_transition(0, 2, 0);
+  dfa.set_transition(1, 0, 0);
+  dfa.set_transition(3, 1, 1);
+  dfa.set_accepting(1, true);
+
+  const LiveRows rows(dfa);
+  const std::vector<bool> live = live_states(dfa);
+  for (StateId s = 0; s < 4; ++s) EXPECT_EQ(rows.is_live(s), live[s]) << s;
+  EXPECT_FALSE(rows.is_live(2));
+
+  const auto run = [&](StateId s) {
+    std::vector<std::pair<std::uint32_t, StateId>> out;
+    for (std::uint32_t e = rows.offsets()[s]; e < rows.offsets()[s + 1];
+         ++e) {
+      out.emplace_back(rows.letters()[e], rows.targets()[e]);
+    }
+    return out;
+  };
+  using Run = std::vector<std::pair<std::uint32_t, StateId>>;
+  EXPECT_EQ(run(0), (Run{{0, 1}, {2, 0}}));  // b into the sink is gone
+  EXPECT_EQ(run(1), (Run{{0, 0}}));
+  EXPECT_EQ(run(2), Run{});  // dead states have empty runs
+  EXPECT_EQ(run(3), (Run{{1, 1}}));
+
+  // The rows hold their arena storage while other kernel calls nest
+  // inside them.
+  (void)minimize(dfa);
+  (void)inclusion_witness(dfa, dfa);
+  EXPECT_EQ(run(0), (Run{{0, 1}, {2, 0}}));
+  EXPECT_EQ(run(3), (Run{{1, 1}}));
 }
 
 }  // namespace

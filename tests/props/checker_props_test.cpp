@@ -7,12 +7,22 @@
 //
 //   * when it reports no subsystem error, every complete system behavior
 //     (enumerated up to a length bound) must project to a valid usage.
+//
+// and, on farm-N composites of up to 16 Valves with one miswired valve,
+// every counterexample is exactly the one an eager search against the
+// ignore-extended monitor finds.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fsm/ops.hpp"
 #include "paper_sources.hpp"
+#include "props/eager_inclusion.hpp"
 #include "shelley/checker.hpp"
 #include "support/strings.hpp"
 #include "upy/parser.hpp"
@@ -144,6 +154,94 @@ TEST_P(CheckerDifferential, VerdictMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckerDifferential,
                          ::testing::Range(0, 40));
+
+enum class FarmBug { kCloseBeforeOpen, kOpenNeverClosed };
+
+/// farm-N: N Valves driven through `match` in one repeatable operation,
+/// with the valve at `broken` miswired by `bug`.
+std::string broken_farm(std::size_t n, std::size_t broken, FarmBug bug) {
+  std::string fields;
+  std::string init;
+  std::string body;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string field = "v" + std::to_string(i);
+    const std::string v = "self." + field;
+    fields += (i == 0 ? "\"" : ", \"") + field + "\"";
+    init += "        " + v + " = Valve()\n";
+    body += "        match " + v + ".test():\n";
+    body += "            case [\"open\"]:\n";
+    if (i == broken && bug == FarmBug::kCloseBeforeOpen) {
+      body += "                " + v + ".close()\n";
+      body += "                " + v + ".open()\n";
+    } else {
+      body += "                " + v + ".open()\n";
+      if (i != broken) body += "                " + v + ".close()\n";
+    }
+    body += "            case [\"clean\"]:\n";
+    body += "                " + v + ".clean()\n";
+  }
+  return "@sys([" + fields + "])\nclass Farm:\n    def __init__(self):\n" +
+         init + "    @op_initial_final\n    def run(self):\n" + body +
+         "        return [\"run\"]\n";
+}
+
+TEST(CheckerFarmWitness, CounterexamplesMatchEagerMonitorSearchExactly) {
+  const upy::Module valve = upy::parse_module(examples::kValveSource);
+  for (std::size_t n = 1; n <= 16; ++n) {
+    for (std::size_t broken = 0; broken < n; ++broken) {
+      for (const FarmBug bug :
+           {FarmBug::kCloseBeforeOpen, FarmBug::kOpenNeverClosed}) {
+        const std::string tag =
+            "farm-" + std::to_string(n) + ", v" + std::to_string(broken) +
+            (bug == FarmBug::kCloseBeforeOpen ? " closes before opening"
+                                              : " is never closed");
+        std::deque<ClassSpec> specs;
+        DiagnosticEngine diagnostics;
+        SymbolTable table;
+        specs.push_back(extract_class_spec(valve.classes.at(0), diagnostics));
+        const upy::Module farm =
+            upy::parse_module(broken_farm(n, broken, bug));
+        specs.push_back(extract_class_spec(farm.classes.at(0), diagnostics));
+        const ClassLookup lookup =
+            [&](const std::string& name) -> const ClassSpec* {
+          return name == "Valve" ? &specs.front() : nullptr;
+        };
+        const CheckResult result =
+            check_composite(specs.back(), lookup, table, diagnostics);
+
+        // The reference, from the same system model.
+        const auto behaviors =
+            extract_behaviors(specs.back(), table, diagnostics);
+        const SystemModel model =
+            build_system_model(specs.back(), behaviors, table, diagnostics);
+        const std::vector<Symbol> alphabet = model.full_alphabet();
+        const fsm::Dfa system =
+            fsm::minimize(fsm::determinize(model.nfa, alphabet));
+        std::vector<std::pair<std::string, Word>> expected;
+        for (const SubsystemDecl& subsystem : specs.back().subsystems) {
+          const fsm::Dfa usage = fsm::minimize(fsm::determinize(
+              usage_nfa(specs.front(), table, subsystem.field + ".")));
+          if (auto witness = shelley::testing::eager_inclusion_witness(
+                  system, fsm::extend_alphabet_ignore(usage, alphabet))) {
+            expected.emplace_back(subsystem.field, std::move(*witness));
+          }
+        }
+
+        ASSERT_EQ(expected.size(), 1u) << tag;
+        EXPECT_EQ(expected[0].first, "v" + std::to_string(broken)) << tag;
+        ASSERT_EQ(result.subsystem_errors.size(), expected.size()) << tag;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          const SubsystemError& error = result.subsystem_errors[i];
+          EXPECT_EQ(error.field, expected[i].first) << tag;
+          EXPECT_EQ(error.counterexample, expected[i].second)
+              << tag << ": checker [" << to_string(error.counterexample, table)
+              << "] vs eager [" << to_string(expected[i].second, table)
+              << "]";
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace shelley::core
