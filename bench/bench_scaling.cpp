@@ -73,6 +73,41 @@ void BM_UsageAutomaton_ExitsSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_UsageAutomaton_ExitsSweep)->DenseRange(1, 6, 1);
 
+// -- Sweep: one verified ring class ---------------------------------------------
+
+// One ring-N class with 8 exits per operation and one response claim,
+// verified end to end: dependency graph, invocation analysis, lints, the
+// shared usage automaton and the claim check.  The fitted curve shows the
+// per-class pipeline has no quadratic term left in N.
+void BM_VerifyRing_Sweep(benchmark::State& state) {
+  const auto ops = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kExits = 8;
+  // op0's exits name op1..op7, and with op0 no longer final no complete
+  // usage ends on it, so G (op0 -> X (op1 | ... | op7)) holds and the
+  // claim check explores the whole product.
+  std::string claim = "G (op0 -> X (op1";
+  for (std::size_t i = 2; i < kExits; ++i) claim += " | op" + std::to_string(i);
+  claim += "))";
+  std::string ring = shelley::bench::synthetic_class(ops, kExits);
+  const std::string first = "@op_initial_final";
+  ring.replace(ring.find(first), first.size(), "@op_initial");
+  core::Verifier verifier;
+  verifier.add_source("@claim(\"" + claim + "\")\n" + ring);
+  bool ok = false;
+  for (auto _ : state) {
+    const core::ClassReport report = verifier.verify_class("Ring");
+    ok = report.ok();
+    benchmark::DoNotOptimize(report);
+  }
+  if (!ok || verifier.diagnostics().has_errors()) {
+    state.SkipWithError("ring class did not verify");
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_VerifyRing_Sweep)
+    ->Arg(25)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
+    ->Complexity();
+
 // -- Sweep: subsystems per composite ---------------------------------------------
 
 void BM_CompositeCheck_SubsystemSweep(benchmark::State& state) {

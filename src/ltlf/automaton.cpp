@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <set>
 #include <stdexcept>
 
 #include "fsm/ops.hpp"
@@ -18,7 +20,8 @@ fsm::Dfa to_dfa(const Formula& formula, std::vector<Symbol> alphabet,
   // Global rewrites (F F φ = F φ, ...) shrink the progression state space;
   // language preservation is covered by the simplify tests.
   const Formula rewritten = simplify(formula);
-  for (Symbol s : atoms(rewritten)) alphabet.push_back(s);
+  const std::set<Symbol> formula_atoms = atoms(rewritten);
+  for (Symbol s : formula_atoms) alphabet.push_back(s);
   std::sort(alphabet.begin(), alphabet.end());
   alphabet.erase(std::unique(alphabet.begin(), alphabet.end()),
                  alphabet.end());
@@ -46,12 +49,26 @@ fsm::Dfa to_dfa(const Formula& formula, std::vector<Symbol> alphabet,
     return it->second;
   };
 
+  // Letter classes: progress reads a letter only through `symbol() == a`,
+  // and neither progress nor to_dnf introduces atoms, so every state
+  // progresses alike on all letters the formula never names.  Each atom is
+  // its own class; the other letters share one, progressed once per row at
+  // its first letter and copied to the rest.  Progressing at that first
+  // letter inserts any new successor exactly where a letter-by-letter row
+  // would, so state ids, rows and budget probes match that construction
+  // and the DFA is identical to it, not merely equivalent.
+  std::vector<bool> is_atom(alphabet.size(), false);
+  for (std::size_t letter = 0; letter < alphabet.size(); ++letter) {
+    is_atom[letter] = formula_atoms.contains(alphabet[letter]);
+  }
+
   const fsm::StateId start = get_id(to_dnf(rewritten));
   std::vector<std::vector<fsm::StateId>> rows;
   for (fsm::StateId current = 0; current < states.size(); ++current) {
     if ((current & 0xFF) == 0) support::guard::check_deadline("ltlf.to_dfa");
     const Formula state = states[current];
     std::vector<fsm::StateId> row(alphabet.size(), 0);
+    std::optional<fsm::StateId> other;  // the shared class's successor
     for (std::size_t letter = 0; letter < alphabet.size(); ++letter) {
       // Each successor pays a progress + to_dnf, which on pathological
       // formulas (deep U/R nests over wide alphabets) is the expensive
@@ -60,9 +77,14 @@ fsm::Dfa to_dfa(const Formula& formula, std::vector<Symbol> alphabet,
       if ((letter & 0xF) == 0xF) {
         support::guard::check_deadline("ltlf.to_dfa");
       }
+      if (!is_atom[letter] && other) {
+        row[letter] = *other;
+        continue;
+      }
       // DNF canonicalization is what closes the state space: progression
       // results that are logically equal become structurally equal.
       row[letter] = get_id(to_dnf(progress(state, alphabet[letter])));
+      if (!is_atom[letter]) other = row[letter];
     }
     rows.push_back(std::move(row));
   }

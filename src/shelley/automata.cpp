@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fsm/ops.hpp"
 #include "fsm/thompson.hpp"
 #include "ir/lowering.hpp"
 #include "rex/derivative.hpp"
@@ -52,6 +53,16 @@ fsm::Nfa usage_nfa(const ClassSpec& spec, SymbolTable& table,
     }
   }
   return nfa;
+}
+
+const fsm::Nfa& UsageAutomaton::nfa() {
+  if (!nfa_) nfa_ = usage_nfa(spec_, table_);
+  return *nfa_;
+}
+
+const fsm::Dfa& UsageAutomaton::subsets() {
+  if (!subsets_) subsets_ = fsm::determinize(nfa());
+  return *subsets_;
 }
 
 std::map<std::string, OperationBehavior> extract_behaviors(

@@ -6,6 +6,9 @@
 //                    after a final operation (or is empty: an instance may
 //                    be constructed and never used).
 //
+//  * UsageAutomaton -- one class's usage NFA and its subset construction,
+//                    built once and shared by every check of that class.
+//
 //  * extract_behaviors -- per-operation method-behavior extraction (§3.2):
 //                    lower the body to the IR, run the inference of Fig. 4,
 //                    and keep the returned behaviors routed to their exits.
@@ -17,9 +20,11 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
+#include "fsm/dfa.hpp"
 #include "fsm/nfa.hpp"
 #include "ir/inference.hpp"
 #include "ir/program.hpp"
@@ -34,6 +39,28 @@ namespace shelley::core {
 /// on one of its exits; exits of final operations accept.
 [[nodiscard]] fsm::Nfa usage_nfa(const ClassSpec& spec, SymbolTable& table,
                                  std::string_view prefix = "");
+
+/// The usage NFA of `spec` (no prefix) and its subset construction over the
+/// NFA's own alphabet, each built on first use and kept.  The verifier hands
+/// one instance to the completability lint, the claim check and the
+/// realizability check, so a verified class builds its usage automaton
+/// once.  The subset construction is not minimized: the completability
+/// lint must tell the empty subset apart.  `spec` and `table` must outlive
+/// the instance.
+class UsageAutomaton {
+ public:
+  UsageAutomaton(const ClassSpec& spec, SymbolTable& table)
+      : spec_(spec), table_(table) {}
+
+  [[nodiscard]] const fsm::Nfa& nfa();
+  [[nodiscard]] const fsm::Dfa& subsets();
+
+ private:
+  const ClassSpec& spec_;
+  SymbolTable& table_;
+  std::optional<fsm::Nfa> nfa_;
+  std::optional<fsm::Dfa> subsets_;
+};
 
 /// The analyzed body of one operation.
 struct OperationBehavior {

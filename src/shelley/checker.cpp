@@ -184,6 +184,12 @@ void lint_claim(const ltlf::Formula& formula,
 std::optional<Word> unrealizable_usage(const ClassSpec& composite,
                                        const SystemModel& model,
                                        SymbolTable& table) {
+  UsageAutomaton usage(composite, table);
+  return unrealizable_usage(model, usage);
+}
+
+std::optional<Word> unrealizable_usage(const SystemModel& model,
+                                       UsageAutomaton& usage) {
   // Project the system language onto the composite's own op labels; by
   // construction it is included in the declared usage language, so only
   // the reverse inclusion needs a witness.
@@ -194,12 +200,18 @@ std::optional<Word> unrealizable_usage(const ClassSpec& composite,
       [&](Symbol s) { return op_labels.contains(s) ? s : Symbol{}; });
   const fsm::Dfa realizable = fsm::determinize(
       projected, std::vector<Symbol>(op_labels.begin(), op_labels.end()));
-  const fsm::Dfa declared =
-      fsm::determinize(usage_nfa(composite, table));
-  return fsm::inclusion_witness(declared, realizable);
+  return fsm::inclusion_witness(usage.subsets(), realizable);
 }
 
 CheckResult check_base_claims(const ClassSpec& spec, SymbolTable& table,
+                              DiagnosticEngine& diagnostics,
+                              const CheckOptions& options) {
+  UsageAutomaton usage(spec, table);
+  return check_base_claims(spec, usage, table, diagnostics, options);
+}
+
+CheckResult check_base_claims(const ClassSpec& spec, UsageAutomaton& usage,
+                              SymbolTable& table,
                               DiagnosticEngine& diagnostics,
                               const CheckOptions& options) {
   CheckResult result;
@@ -207,11 +219,11 @@ CheckResult check_base_claims(const ClassSpec& spec, SymbolTable& table,
   support::trace::Span span("shelley.check_base_claims");
   span.arg("class", spec.name);
   span.arg("claims", static_cast<std::uint64_t>(spec.claims.size()));
-  const fsm::Nfa usage = usage_nfa(spec, table);
-  const std::vector<Symbol>& alphabet = usage.alphabet();
+  const fsm::Nfa& nfa = usage.nfa();
+  const std::vector<Symbol>& alphabet = nfa.alphabet();
   std::optional<fsm::Dfa> usage_dfa;  // only the oracle path pays for it
   const auto get_dfa = [&]() -> const fsm::Dfa& {
-    if (!usage_dfa) usage_dfa = fsm::minimize(fsm::determinize(usage));
+    if (!usage_dfa) usage_dfa = fsm::minimize(usage.subsets());
     return *usage_dfa;
   };
   for (const Claim& claim : spec.claims) {
@@ -230,7 +242,7 @@ CheckResult check_base_claims(const ClassSpec& spec, SymbolTable& table,
       lint_claim(formula, alphabet, spec, claim, diagnostics, result);
     }
     const auto witness = claim_counterexample(
-        usage, alphabet, get_dfa, formula, claim.text, options.ltlf_engine);
+        nfa, alphabet, get_dfa, formula, claim.text, options.ltlf_engine);
     if (!witness) continue;
     result.claim_errors.push_back(ClaimError{claim.text, *witness});
   }
@@ -240,6 +252,15 @@ CheckResult check_base_claims(const ClassSpec& spec, SymbolTable& table,
 CheckResult check_composite(const ClassSpec& composite,
                             const ClassLookup& lookup, SymbolTable& table,
                             DiagnosticEngine& diagnostics,
+                            const CheckOptions& options) {
+  UsageAutomaton usage(composite, table);
+  return check_composite(composite, usage, lookup, table, diagnostics,
+                         options);
+}
+
+CheckResult check_composite(const ClassSpec& composite,
+                            UsageAutomaton& usage, const ClassLookup& lookup,
+                            SymbolTable& table, DiagnosticEngine& diagnostics,
                             const CheckOptions& options) {
   CheckResult result;
   support::trace::Span span("shelley.check_composite");
@@ -255,7 +276,7 @@ CheckResult check_composite(const ClassSpec& composite,
   const fsm::LiveRows system_rows(system);
 
   // Realizability of the declared op-level contract (warning only).
-  if (const auto witness = unrealizable_usage(composite, model, table)) {
+  if (const auto witness = unrealizable_usage(model, usage)) {
     diagnostics.warning(
         composite.loc,
         "class '" + composite.name + "': the declared usage [" +

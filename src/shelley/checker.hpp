@@ -90,6 +90,15 @@ using ClassLookup = std::function<const ClassSpec*(const std::string&)>;
                                           DiagnosticEngine& diagnostics,
                                           const CheckOptions& options = {});
 
+/// check_composite reusing `usage`, the composite's own usage automaton
+/// (the verifier shares the one its lints built).
+[[nodiscard]] CheckResult check_composite(const ClassSpec& composite,
+                                          UsageAutomaton& usage,
+                                          const ClassLookup& lookup,
+                                          SymbolTable& table,
+                                          DiagnosticEngine& diagnostics,
+                                          const CheckOptions& options);
+
 /// Checks the @claim annotations of a *base* class against its valid-usage
 /// language (atoms are bare operation names).  Composites are handled by
 /// check_composite, which sees subsystem events as well.
@@ -97,6 +106,14 @@ using ClassLookup = std::function<const ClassSpec*(const std::string&)>;
                                             SymbolTable& table,
                                             DiagnosticEngine& diagnostics,
                                             const CheckOptions& options = {});
+
+/// check_base_claims reusing `usage`, `spec`'s usage automaton.  Only the
+/// DFA oracle minimizes its subset construction.
+[[nodiscard]] CheckResult check_base_claims(const ClassSpec& spec,
+                                            UsageAutomaton& usage,
+                                            SymbolTable& table,
+                                            DiagnosticEngine& diagnostics,
+                                            const CheckOptions& options);
 
 /// Explains why `projected` (a word over `<field>.<op>` symbols) is not a
 /// valid complete usage of `spec`: renders the op sequence with the
@@ -121,5 +138,9 @@ void force_ltlf_disagreement(bool force);
 [[nodiscard]] std::optional<Word> unrealizable_usage(
     const ClassSpec& composite, const SystemModel& model,
     SymbolTable& table);
+
+/// unrealizable_usage against `usage`, the composite's usage automaton.
+[[nodiscard]] std::optional<Word> unrealizable_usage(const SystemModel& model,
+                                                     UsageAutomaton& usage);
 
 }  // namespace shelley::core

@@ -1,8 +1,8 @@
 #include "shelley/graph.hpp"
 
-#include <deque>
 #include <map>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace shelley::core {
 
@@ -74,25 +74,54 @@ std::vector<std::size_t> DependencyGraph::exits_of(
 
 std::vector<std::string> DependencyGraph::reachable_operations(
     const ClassSpec& spec) const {
-  std::set<std::size_t> visited;
-  std::deque<std::size_t> work;
+  // Successor lists in CSR form: node n's successors are
+  // targets[offsets[n] .. offsets[n + 1]).  One counting pass over the
+  // edge list sizes the rows and a second fills them, so the search below
+  // is O(V + E).
+  const std::size_t n = nodes_.size();
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (const DependencyEdge& edge : edges_) ++offsets[edge.from + 1];
+  for (std::size_t node = 0; node < n; ++node) {
+    offsets[node + 1] += offsets[node];
+  }
+  std::vector<std::size_t> targets(edges_.size());
+  std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
+  for (const DependencyEdge& edge : edges_) {
+    targets[fill[edge.from]++] = edge.to;
+  }
+
+  // entry_of resolves a name to its first entry node; index those once.
+  std::unordered_map<std::string_view, std::size_t> first_entry;
+  for (std::size_t node = 0; node < n; ++node) {
+    if (nodes_[node].type == DependencyNode::Type::kEntry) {
+      first_entry.emplace(nodes_[node].operation, node);
+    }
+  }
+
+  std::vector<bool> visited(n, false);
+  std::vector<std::size_t> work;
   for (const std::string& op : spec.initial_operations()) {
-    const std::size_t entry = entry_of(op);
-    if (entry != npos && visited.insert(entry).second) work.push_back(entry);
+    const auto it = first_entry.find(op);
+    if (it != first_entry.end() && !visited[it->second]) {
+      visited[it->second] = true;
+      work.push_back(it->second);
+    }
   }
   while (!work.empty()) {
-    const std::size_t node = work.front();
-    work.pop_front();
-    for (const DependencyEdge& edge : edges_) {
-      if (edge.from == node && visited.insert(edge.to).second) {
-        work.push_back(edge.to);
+    const std::size_t node = work.back();
+    work.pop_back();
+    for (std::size_t i = offsets[node]; i < offsets[node + 1]; ++i) {
+      if (!visited[targets[i]]) {
+        visited[targets[i]] = true;
+        work.push_back(targets[i]);
       }
     }
   }
+  // Emitted in node-index order, so the search order above is irrelevant.
   std::vector<std::string> out;
-  std::set<std::string> seen;
-  for (std::size_t node : visited) {
-    if (nodes_[node].type == DependencyNode::Type::kEntry &&
+  std::unordered_set<std::string_view> seen;
+  for (std::size_t node = 0; node < n; ++node) {
+    if (visited[node] && nodes_[node].type == DependencyNode::Type::kEntry &&
         seen.insert(nodes_[node].operation).second) {
       out.push_back(nodes_[node].operation);
     }

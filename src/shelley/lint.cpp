@@ -12,9 +12,8 @@ namespace shelley::core {
 namespace {
 
 std::size_t lint_reachability(const ClassSpec& spec,
+                              const DependencyGraph& graph,
                               DiagnosticEngine& diagnostics) {
-  DiagnosticEngine scratch;  // graph errors are reported elsewhere
-  const DependencyGraph graph = DependencyGraph::build(spec, scratch);
   const auto reachable_list = graph.reachable_operations(spec);
   const std::set<std::string> reachable(reachable_list.begin(),
                                         reachable_list.end());
@@ -67,16 +66,16 @@ std::size_t lint_finality(const ClassSpec& spec,
   return 1;
 }
 
-std::size_t lint_completability(const ClassSpec& spec, SymbolTable& table,
+std::size_t lint_completability(const ClassSpec& spec, UsageAutomaton& usage,
+                                SymbolTable& table,
                                 DiagnosticEngine& diagnostics) {
   if (spec.operations.empty()) return 0;
   // Work on the subset construction directly: a *valid* prefix is one whose
   // subset state is non-empty; the lint fires when a valid prefix's subset
   // is dead (cannot reach acceptance).  The empty subset -- reached by
   // undeclared call sequences -- is legitimately dead and must not fire.
-  const fsm::Nfa usage = usage_nfa(spec, table);
-  const std::vector<Symbol>& sigma = usage.alphabet();
-  const fsm::Dfa dfa = fsm::determinize(usage, sigma);
+  const fsm::Dfa& dfa = usage.subsets();
+  const std::vector<Symbol>& sigma = dfa.alphabet();
   const std::vector<bool> live = fsm::live_states(dfa);
 
   // Identify the empty-subset sink: replay each DFA state's subset via the
@@ -139,11 +138,20 @@ std::size_t lint_completability(const ClassSpec& spec, SymbolTable& table,
 
 std::size_t lint_class(const ClassSpec& spec, SymbolTable& table,
                        DiagnosticEngine& diagnostics) {
+  DiagnosticEngine scratch;  // graph errors are reported by verify_spec
+  UsageAutomaton usage(spec, table);
+  return lint_class(spec, DependencyGraph::build(spec, scratch), usage, table,
+                    diagnostics);
+}
+
+std::size_t lint_class(const ClassSpec& spec, const DependencyGraph& graph,
+                       UsageAutomaton& usage, SymbolTable& table,
+                       DiagnosticEngine& diagnostics) {
   std::size_t findings = 0;
-  findings += lint_reachability(spec, diagnostics);
+  findings += lint_reachability(spec, graph, diagnostics);
   findings += lint_exits(spec, diagnostics);
   findings += lint_finality(spec, diagnostics);
-  findings += lint_completability(spec, table, diagnostics);
+  findings += lint_completability(spec, usage, table, diagnostics);
   return findings;
 }
 

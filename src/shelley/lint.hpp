@@ -19,6 +19,9 @@
 
 namespace shelley::core {
 
+class DependencyGraph;
+class UsageAutomaton;
+
 /// Tunable lint thresholds.  Everything defaults to "off"/permissive so a
 /// default-constructed value reproduces the historical behavior exactly.
 struct LintOptions {
@@ -30,6 +33,14 @@ struct LintOptions {
 /// Runs every lint on `spec`; findings are reported as warnings.  Returns
 /// the number of findings.
 std::size_t lint_class(const ClassSpec& spec, SymbolTable& table,
+                       DiagnosticEngine& diagnostics);
+
+/// lint_class on inputs the verifier already holds: `spec`'s dependency
+/// graph and its usage automaton.  The completability lint builds the
+/// automaton on first use, after the reachability, exit and finality lints
+/// have reported, and leaves it for the checks that follow.
+std::size_t lint_class(const ClassSpec& spec, const DependencyGraph& graph,
+                       UsageAutomaton& usage, SymbolTable& table,
                        DiagnosticEngine& diagnostics);
 
 /// Budget lint: fires when the largest minimized DFA built while verifying

@@ -8,6 +8,7 @@
 
 #include "ir/lowering.hpp"
 #include "ltlf/parser.hpp"
+#include "shelley/automata.hpp"
 #include "shelley/graph.hpp"
 #include "shelley/invocation.hpp"
 #include "shelley/lint.hpp"
@@ -39,26 +40,40 @@ ClassReport Verifier::verify_spec(const ClassSpec& spec,
 
   try {
     // Step 1 -- method dependency extraction validates successor references.
+    // The lints walk the same graph.
     support::guard::check_deadline("verify.dependencies");
-    (void)DependencyGraph::build(spec, sink);
+    DependencyGraph graph;
+    {
+      support::trace::Span step("shelley.dependencies");
+      graph = DependencyGraph::build(spec, sink);
+    }
 
     // Step 3 -- method invocation analysis.
     support::guard::check_deadline("verify.invocations");
-    report.invocation_errors = analyze_invocations(spec, lookup(), sink);
+    {
+      support::trace::Span step("shelley.invocations");
+      report.invocation_errors = analyze_invocations(spec, lookup(), sink);
+    }
 
-    // Specification lints (warnings only).
-    report.lint_findings = lint_class(spec, table_, sink);
+    // Specification lints (warnings only).  The completability lint builds
+    // the class's usage automaton, after the cheaper lints have reported;
+    // the checks below reuse it.
+    UsageAutomaton usage(spec, table_);
+    {
+      support::trace::Span step("shelley.lint");
+      report.lint_findings = lint_class(spec, graph, usage, table_, sink);
+    }
 
     // Step 2 plus the composite checks of §2.2 (behavior extraction happens
     // inside check_composite).  Base classes still get their claims checked
     // against the valid-usage language.
     support::guard::check_deadline("verify.check");
     if (spec.is_composite) {
-      report.check =
-          check_composite(spec, lookup(), table_, sink, check_options_);
+      report.check = check_composite(spec, usage, lookup(), table_, sink,
+                                     check_options_);
     } else {
       report.check =
-          check_base_claims(spec, table_, sink, check_options_);
+          check_base_claims(spec, usage, table_, sink, check_options_);
     }
     // Claim-quality findings are lints: warnings that never affect ok().
     report.lint_findings += report.check.claim_lints;
@@ -131,9 +146,9 @@ void Verifier::warm_symbols(const ClassSpec& spec) {
     for (const Operation& op : spec.operations) {
       (void)ir::lower_block(op.body, context);
     }
-    // build_system_model + unrealizable_usage re-intern the bare operation
-    // names (no-ops by now); the per-subsystem monitors intern the
-    // prefix-qualified names of each subsystem class's operations.
+    // build_system_model re-interns the bare operation names (no-ops by
+    // now); the per-subsystem monitors intern the prefix-qualified names of
+    // each subsystem class's operations.
     for (const SubsystemDecl& subsystem : spec.subsystems) {
       const ClassSpec* sub_spec = find_class(subsystem.class_name);
       if (sub_spec == nullptr) continue;

@@ -5,6 +5,8 @@
 #include <charconv>
 #include <cstdio>
 
+#include "support/guard.hpp"
+
 namespace shelley {
 
 void JsonWriter::comma_if_needed() {
@@ -202,7 +204,9 @@ namespace {
 
 class JsonParser {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text)
+      : text_(text),
+        max_depth_(support::guard::limits().max_recursion_depth) {}
 
   JsonValue parse_document() {
     JsonValue value = parse_value();
@@ -243,11 +247,42 @@ class JsonParser {
     return true;
   }
 
+  // One level of array/object nesting.  Containers nest by recursion, so
+  // they are bounded like every other parser's frames (support/guard) and
+  // one hostile line cannot overflow the stack.  The error is a
+  // JsonParseError because that is what every reader of untrusted lines
+  // catches and counts.  A scope object rather than a local copy of the
+  // value keeps each container's return a prvalue, so the NDJSON decode
+  // pays no extra JsonValue move per line.
+  class Nesting {
+   public:
+    explicit Nesting(JsonParser& parser) : parser_(parser) {
+      if (parser_.depth_ == parser_.max_depth_) {
+        parser_.fail("nesting exceeds the recursion limit (" +
+                     std::to_string(parser_.max_depth_) + " levels)");
+      }
+      ++parser_.depth_;
+    }
+    ~Nesting() { --parser_.depth_; }
+
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    JsonParser& parser_;
+  };
+
   JsonValue parse_value() {
     skip_whitespace();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': {
+        const Nesting nesting(*this);
+        return parse_object();
+      }
+      case '[': {
+        const Nesting nesting(*this);
+        return parse_array();
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (!consume_literal("true")) fail("invalid literal");
@@ -412,6 +447,8 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t max_depth_;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

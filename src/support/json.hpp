@@ -97,7 +97,8 @@ class JsonValue {
 };
 
 /// Parses one JSON document (any value type at the root).  Throws
-/// JsonParseError on malformed input or trailing non-whitespace.
+/// JsonParseError on malformed input, trailing non-whitespace, or arrays
+/// and objects nested deeper than support::guard's recursion limit.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 }  // namespace shelley

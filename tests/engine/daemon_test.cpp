@@ -303,6 +303,16 @@ TEST_F(DaemonTest, MalformedRequestIsAnErrorResponseNotACrash) {
   EXPECT_TRUE(responses[3].at("ok").as_bool());  // the session survived
 }
 
+TEST_F(DaemonTest, DeeplyNestedRequestIsAnErrorResponseNotACrash) {
+  const auto responses = daemon_session(
+      {std::string(200000, '['), R"({"cmd":"version"})"});
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_FALSE(responses[0].at("ok").as_bool());
+  EXPECT_NE(responses[0].at("error").as_string().find("recursion limit"),
+            std::string::npos);
+  EXPECT_TRUE(responses[1].at("ok").as_bool());  // the session survived
+}
+
 TEST_F(DaemonTest, ShutdownEndsTheLoop) {
   const auto responses = daemon_session(
       {R"({"cmd":"shutdown"})", R"({"cmd":"version"})"});
@@ -394,7 +404,8 @@ TEST_F(DaemonTest, MonitorAcceptsNdjsonBlobsAndCountsMalformedLines) {
          writer.key("shards").value(std::uint64_t{3});
          writer.key("ndjson").value(
              "{\"device\":\"x\",\"op\":\"test\"}\n"
-             "not json at all\n"
+             "not json at all\n" +
+             std::string(200000, '[') + "\n"
              "{\"device\":\"x\",\"op\":\"clean\"}");  // no trailing newline
          writer.end_object();
          return writer.str();
@@ -404,7 +415,7 @@ TEST_F(DaemonTest, MonitorAcceptsNdjsonBlobsAndCountsMalformedLines) {
   EXPECT_TRUE(reply.at("ok").as_bool());
   EXPECT_EQ(reply.at("events").as_number(), 2);
   EXPECT_EQ(reply.at("ok_events").as_number(), 2);
-  EXPECT_EQ(reply.at("malformed").as_number(), 1);
+  EXPECT_EQ(reply.at("malformed").as_number(), 2);
   EXPECT_EQ(reply.at("completed_devices").as_number(), 1);
 }
 

@@ -119,6 +119,17 @@ TEST_F(StreamTest, MalformedLinesAreCountedNotFatal) {
   EXPECT_EQ(checker.stats().ok, 2u);
 }
 
+TEST_F(StreamTest, DeeplyNestedLineIsOneMalformedLine) {
+  StreamChecker checker = make_checker();
+  const std::string chunk =
+      line("v1", "test") + std::string(200000, '[') + "\n" + line("v1", "open");
+  EXPECT_EQ(checker.ingest_ndjson(chunk), chunk.size());
+  EXPECT_EQ(checker.stats().malformed, 1u);
+  // The line after it is still checked.
+  EXPECT_EQ(checker.stats().events, 2u);
+  EXPECT_EQ(checker.stats().ok, 2u);
+}
+
 TEST_F(StreamTest, IngestEventDefersUntilFlush) {
   StreamChecker checker = make_checker();
   checker.ingest_event("v1", "test");

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
+#include <set>
+
 #include "paper_sources.hpp"
 #include "upy/parser.hpp"
 
@@ -175,6 +179,123 @@ TEST_F(GraphTest, NodeLabels) {
   const DependencyGraph graph = DependencyGraph::build(spec, diagnostics_);
   EXPECT_EQ(graph.nodes()[graph.entry_of("test")].label(), "test");
   EXPECT_EQ(graph.nodes()[graph.exits_of("test")[1]].label(), "test/exit1");
+}
+
+// -- Exactness oracle for reachable_operations --------------------------------
+
+/// The breadth-first search reachable_operations ran before it walked CSR
+/// successor rows: every dequeued node scans the whole edge list, O(V·E).
+/// Kept as the reference the linear search must match exactly.
+std::vector<std::string> reachable_by_edge_scan(const DependencyGraph& graph,
+                                                const ClassSpec& spec) {
+  std::set<std::size_t> visited;
+  std::deque<std::size_t> work;
+  for (const std::string& op : spec.initial_operations()) {
+    const std::size_t entry = graph.entry_of(op);
+    if (entry != DependencyGraph::npos && visited.insert(entry).second) {
+      work.push_back(entry);
+    }
+  }
+  while (!work.empty()) {
+    const std::size_t node = work.front();
+    work.pop_front();
+    for (const DependencyEdge& edge : graph.edges()) {
+      if (edge.from == node && visited.insert(edge.to).second) {
+        work.push_back(edge.to);
+      }
+    }
+  }
+  std::vector<std::string> out;
+  std::set<std::string> seen;
+  for (std::size_t node : visited) {
+    if (graph.nodes()[node].type == DependencyNode::Type::kEntry &&
+        seen.insert(graph.nodes()[node].operation).second) {
+      out.push_back(graph.nodes()[node].operation);
+    }
+  }
+  return out;
+}
+
+/// A random spec over a small name pool, so operation names repeat; some
+/// successors name no operation, and several operations may be initial.
+ClassSpec random_spec(std::mt19937_64& rng) {
+  ClassSpec spec;
+  spec.name = "Random";
+  const std::size_t ops = 1 + rng() % 24;
+  const std::size_t pool = 1 + rng() % (ops + 2);
+  const auto name = [&] { return "m" + std::to_string(rng() % pool); };
+  for (std::size_t i = 0; i < ops; ++i) {
+    Operation op;
+    op.name = name();
+    op.initial = rng() % 4 == 0;
+    op.final = rng() % 2 == 0;
+    const std::size_t exits = rng() % 4;
+    for (std::size_t e = 0; e < exits; ++e) {
+      ExitPoint exit;
+      exit.id = e;
+      const std::size_t successors = rng() % 4;
+      for (std::size_t k = 0; k < successors; ++k) {
+        exit.successors.push_back(rng() % 6 == 0 ? "ghost" : name());
+      }
+      op.exits.push_back(std::move(exit));
+    }
+    spec.operations.push_back(std::move(op));
+  }
+  return spec;
+}
+
+TEST(GraphOracleTest, LinearSearchMatchesEdgeScanOnRandomSpecs) {
+  std::size_t duplicates = 0;
+  std::size_t unresolved = 0;
+  std::size_t multi_initial = 0;
+  for (std::uint64_t round = 0; round < 2000; ++round) {
+    std::mt19937_64 rng(round);
+    const ClassSpec spec = random_spec(rng);
+    DiagnosticEngine diagnostics;
+    const DependencyGraph graph = DependencyGraph::build(spec, diagnostics);
+    EXPECT_EQ(graph.reachable_operations(spec),
+              reachable_by_edge_scan(graph, spec))
+        << "round " << round;
+
+    std::set<std::string> names;
+    for (const Operation& op : spec.operations) names.insert(op.name);
+    if (names.size() < spec.operations.size()) ++duplicates;
+    if (diagnostics.has_errors()) ++unresolved;
+    if (spec.initial_operations().size() > 1) ++multi_initial;
+  }
+  // The generator must actually produce the shapes the oracle is for.
+  EXPECT_GT(duplicates, 100u);
+  EXPECT_GT(unresolved, 100u);
+  EXPECT_GT(multi_initial, 100u);
+}
+
+TEST(GraphOracleTest, LinearSearchMatchesEdgeScanOnAWideRing) {
+  // 200 operations with 8 exits each, exit e of op i naming op i+1+e: the
+  // shape on which the edge scan was quadratic.
+  constexpr std::size_t kOps = 200;
+  constexpr std::size_t kExits = 8;
+  ClassSpec spec;
+  spec.name = "Ring";
+  for (std::size_t i = 0; i < kOps; ++i) {
+    Operation op;
+    op.name = "op" + std::to_string(i);
+    op.initial = i == 0;
+    op.final = true;
+    for (std::size_t e = 0; e < kExits; ++e) {
+      ExitPoint exit;
+      exit.id = e;
+      exit.successors.push_back("op" + std::to_string((i + 1 + e) % kOps));
+      op.exits.push_back(std::move(exit));
+    }
+    spec.operations.push_back(std::move(op));
+  }
+  DiagnosticEngine diagnostics;
+  const DependencyGraph graph = DependencyGraph::build(spec, diagnostics);
+  EXPECT_FALSE(diagnostics.has_errors());
+  EXPECT_EQ(graph.nodes().size(), kOps * (1 + kExits));
+  const auto reachable = graph.reachable_operations(spec);
+  EXPECT_EQ(reachable.size(), kOps);
+  EXPECT_EQ(reachable, reachable_by_edge_scan(graph, spec));
 }
 
 }  // namespace

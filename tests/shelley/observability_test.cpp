@@ -5,6 +5,7 @@
 // -- crucially -- none of it changes any output while disabled.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
@@ -80,6 +81,40 @@ TEST_F(ObservabilityTest, TraceCoversEveryPipelineStage) {
     EXPECT_TRUE(verified_classes.contains(cls.class_name));
     EXPECT_TRUE(names.contains("automata/" + cls.class_name))
         << "missing counter track for " << cls.class_name;
+  }
+}
+
+TEST_F(ObservabilityTest, VerifyStepsHaveTheirOwnSpans) {
+  support::trace::set_enabled(true);
+  support::trace::reset();
+
+  Verifier verifier;
+  const Report report = verify_paper_sources(verifier);
+  ASSERT_EQ(report.classes.size(), 4u);
+
+  const JsonValue doc = parse_json(support::trace::to_chrome_json());
+  std::set<std::uint64_t> verify_spans;
+  std::map<std::uint64_t, std::set<std::string>> children;
+  for (const JsonValue& event : doc.at("traceEvents").as_array()) {
+    if (event.at("ph").as_string() != "X") continue;
+    const JsonValue& args = event.at("args");
+    if (event.at("name").as_string() == "shelley.verify") {
+      verify_spans.insert(
+          static_cast<std::uint64_t>(args.at("span_id").as_number()));
+    }
+    if (const JsonValue* parent = args.find("parent")) {
+      children[static_cast<std::uint64_t>(parent->as_number())].insert(
+          event.at("name").as_string());
+    }
+  }
+  ASSERT_EQ(verify_spans.size(), report.classes.size());
+  for (const std::uint64_t span : verify_spans) {
+    for (const char* step :
+         {"shelley.dependencies", "shelley.invocations", "shelley.lint"}) {
+      EXPECT_TRUE(children[span].contains(step))
+          << "shelley.verify span " << span << " has no " << step
+          << " child";
+    }
   }
 }
 

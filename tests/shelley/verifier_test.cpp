@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "paper_sources.hpp"
+#include "support/guard.hpp"
+#include "support/metrics.hpp"
 
 namespace shelley::core {
 namespace {
@@ -134,6 +138,109 @@ class Plant:
   const Report report = verifier.verify_all();
   EXPECT_TRUE(report.ok()) << report.render(verifier.symbols())
                            << verifier.diagnostics().render();
+}
+
+// One verified class builds one usage automaton: the completability lint's
+// subset construction is the one the claim check minimizes and the one the
+// realizability check includes against.  The counts are subset
+// constructions per class.
+class SharedUsageAutomatonTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    support::metrics::set_enabled(true);
+    support::metrics::reset();
+  }
+  void TearDown() override {
+    support::metrics::set_enabled(false);
+    support::metrics::reset();
+  }
+};
+
+TEST_F(SharedUsageAutomatonTest, BaseClassWithClaimsDeterminizesOnce) {
+  Verifier verifier;
+  verifier.add_source(R"py(
+@claim("G (open -> F close)")
+@sys
+class Lid:
+    @op_initial
+    def open(self):
+        return ["close"]
+
+    @op_final
+    def close(self):
+        return ["open"]
+)py");
+  const Report report = verifier.verify_all(1);
+  ASSERT_EQ(report.classes.size(), 1u);
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.classes[0].stats.determinize_calls, 1u);
+  EXPECT_EQ(report.classes[0].stats.minimize_calls, 1u);
+  EXPECT_EQ(support::metrics::counter("fsm.determinize.calls").value(), 1u);
+}
+
+TEST_F(SharedUsageAutomatonTest, CompositesDeterminizeTheirUsageOnce) {
+  Verifier verifier;
+  verifier.add_source(examples::kValveSource);
+  verifier.add_source(examples::kBadSectorSource);
+  verifier.add_source(examples::kSectorSource);
+  verifier.add_source(examples::kGoodSectorSource);
+  const Report report = verifier.verify_all(1);
+  // Per composite: its own usage (shared by the completability lint and
+  // the realizability check), the system, the realizable op projection,
+  // one usage per subsystem, the event projection when it has a claim, and
+  // one more usage per failing subsystem for the diagnosis.
+  const std::map<std::string, std::uint64_t> expected = {
+      {"Valve", 1},      // its usage, for the completability lint
+      {"BadSector", 7},  // 1 + 1 + 1 + 2 + 1 + 1 (subsystem 'a' fails)
+      {"Sector", 5},     // 1 + 1 + 1 + 2
+      {"GoodSector", 6}, // 1 + 1 + 1 + 2 + 1
+  };
+  ASSERT_EQ(report.classes.size(), expected.size());
+  std::uint64_t total = 0;
+  for (const ClassReport& cls : report.classes) {
+    EXPECT_EQ(cls.stats.determinize_calls, expected.at(cls.class_name))
+        << cls.class_name;
+    total += cls.stats.determinize_calls;
+  }
+  EXPECT_EQ(support::metrics::counter("fsm.determinize.calls").value(),
+            total);
+}
+
+// Sharing must not move the subset construction ahead of the cheap lints:
+// when it trips the state budget, the reachability finding is already out
+// and the abort comes after it.
+TEST(VerifierTest, StateBudgetTripStillFollowsTheCheapLints) {
+  Verifier verifier;
+  verifier.add_source(R"py(
+@sys
+class Lamp:
+    @op_initial_final
+    def on(self):
+        return ["on"]
+
+    @op_final
+    def ghost(self):
+        return []
+)py");
+  support::guard::Limits limits;
+  limits.max_states = 1;
+  Report report;
+  {
+    const support::guard::ScopedLimits scoped(limits);
+    report = verifier.verify_all(1);
+  }
+  ASSERT_EQ(report.classes.size(), 1u);
+  EXPECT_EQ(report.classes[0].resource_errors, 1u);
+  const auto& diagnostics = verifier.diagnostics().diagnostics();
+  ASSERT_EQ(diagnostics.size(), 2u) << verifier.diagnostics().render();
+  EXPECT_EQ(diagnostics[0].severity, Severity::kWarning);
+  EXPECT_NE(diagnostics[0].message.find("'ghost' is unreachable"),
+            std::string::npos);
+  EXPECT_EQ(diagnostics[1].severity, Severity::kError);
+  EXPECT_NE(diagnostics[1].message.find("verification of 'Lamp' aborted"),
+            std::string::npos);
+  EXPECT_NE(diagnostics[1].message.find("determinization"),
+            std::string::npos);
 }
 
 }  // namespace

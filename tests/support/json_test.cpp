@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "support/guard.hpp"
+
 namespace shelley {
 namespace {
 
@@ -113,6 +117,43 @@ TEST(JsonParser, MalformedInputThrows) {
   EXPECT_THROW((void)parse_json("1 trailing"), JsonParseError);
   EXPECT_THROW((void)parse_json(R"("\ud800")"), JsonParseError);
   EXPECT_THROW((void)parse_json(R"("\uZZZZ")"), JsonParseError);
+}
+
+// One hostile line of nested containers used to recurse until the stack
+// overflowed (SIGSEGV in shelleyd and shelley-monitor).  The nesting is
+// bounded by support::guard's recursion limit and rejected with the error
+// every line reader already catches.
+TEST(JsonParser, DeepNestingIsAParseErrorNotACrash) {
+  EXPECT_THROW((void)parse_json(std::string(200000, '[')), JsonParseError);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)parse_json(objects), JsonParseError);
+  std::string mixed;
+  for (int i = 0; i < 50000; ++i) mixed += "[{\"a\":";
+  EXPECT_THROW((void)parse_json(mixed), JsonParseError);
+}
+
+TEST(JsonParser, NestingUpToTheRecursionLimitParses) {
+  // 256 is support::guard's default recursion limit.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const JsonValue doc = parse_json(nested(256));
+  EXPECT_TRUE(doc.is_array());
+  EXPECT_THROW((void)parse_json(nested(257)), JsonParseError);
+
+  std::string objects;
+  for (int i = 0; i < 255; ++i) objects += "{\"a\":";
+  objects += "[]" + std::string(255, '}');
+  EXPECT_TRUE(parse_json(objects).is_object());
+}
+
+TEST(JsonParser, NestingBoundFollowsTheInstalledLimit) {
+  support::guard::Limits limits;
+  limits.max_recursion_depth = 3;
+  const support::guard::ScopedLimits scoped(limits);
+  EXPECT_NO_THROW((void)parse_json(R"([{"a":[1]}])"));
+  EXPECT_THROW((void)parse_json(R"([{"a":[[1]]}])"), JsonParseError);
 }
 
 TEST(JsonParser, KindMismatchThrows) {
