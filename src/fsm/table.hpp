@@ -19,6 +19,7 @@
 
 #include "fsm/dfa.hpp"
 #include "support/binary.hpp"
+#include "support/strings.hpp"
 #include "support/symbol.hpp"
 
 namespace shelley::fsm {
@@ -105,13 +106,6 @@ class CompiledDfa {
                                               SymbolTable& table);
 
  private:
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view text) const noexcept {
-      return std::hash<std::string_view>{}(text);
-    }
-  };
-
   void index_letters();
 
   std::uint32_t letters_ = 0;
@@ -124,7 +118,7 @@ class CompiledDfa {
   std::vector<std::string> names_;         // letter -> event name
   std::vector<Symbol> symbols_;            // letter -> local symbol
   std::unordered_map<Symbol, Letter> by_symbol_;
-  std::unordered_map<std::string, Letter, NameHash, std::equal_to<>> by_name_;
+  StringMap<Letter> by_name_;
 };
 
 /// Version tag of the compiled-table byte format; bumped on layout changes

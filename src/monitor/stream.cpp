@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "support/json.hpp"
+#include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
+#include "support/trace.hpp"
 
 namespace shelley::monitor {
 
@@ -29,7 +33,60 @@ std::uint32_t read_u32_le(const char* at) {
   return value;
 }
 
+/// Charges one ingest call to the data-plane metrics while collection is
+/// on: its events, accepted events, violations and malformed lines to the
+/// monitor.* counters, its wall time to the monitor.batch_us histogram, and
+/// a monitor.ingest span around it.  Accounting is per call, never per
+/// event; while metrics are off it costs one relaxed load.
+class IngestProbe {
+ public:
+  explicit IngestProbe(const StreamStats& stats) : stats_(stats) {
+    if (!support::metrics::enabled()) return;
+    armed_ = true;
+    before_ = stats;
+    span_.emplace("monitor.ingest");
+    start_ = std::chrono::steady_clock::now();
+  }
+
+  ~IngestProbe() {
+    if (!armed_) return;
+    namespace metrics = support::metrics;
+    const std::uint64_t events = stats_.events - before_.events;
+    metrics::counter("monitor.events").add(events);
+    metrics::counter("monitor.accepted").add(stats_.ok - before_.ok);
+    metrics::counter("monitor.violations")
+        .add(stats_.violations - before_.violations);
+    metrics::counter("monitor.malformed")
+        .add(stats_.malformed - before_.malformed);
+    metrics::histogram("monitor.batch_us")
+        .record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start_)
+                .count()));
+    if (span_->active()) span_->arg("events", events);
+  }
+
+  IngestProbe(const IngestProbe&) = delete;
+  IngestProbe& operator=(const IngestProbe&) = delete;
+
+ private:
+  const StreamStats& stats_;
+  bool armed_ = false;
+  StreamStats before_;
+  std::chrono::steady_clock::time_point start_;
+  std::optional<support::trace::Span> span_;
+};
+
 }  // namespace
+
+bool decode_event_line(std::string_view line, EventLine& event) {
+  try {
+    return scan_root_strings(line, event.fields_) &&
+           event.fields_[0].is_string && event.fields_[1].is_string;
+  } catch (const JsonParseError&) {
+    return false;
+  }
+}
 
 StreamChecker::StreamChecker(fsm::CompiledDfa table)
     : StreamChecker(std::move(table), Options{}) {}
@@ -46,7 +103,7 @@ void StreamChecker::set_source_locations(
 }
 
 std::uint32_t StreamChecker::intern_device(std::string_view name) {
-  const auto it = device_index_.find(std::string(name));
+  const auto it = device_index_.find(name);
   if (it != device_index_.end()) return it->second;
   const auto slot = static_cast<std::uint32_t>(devices_.size());
   DeviceState state;
@@ -60,7 +117,7 @@ std::uint32_t StreamChecker::intern_device(std::string_view name) {
 }
 
 std::uint32_t StreamChecker::intern_batch_op(std::string_view name) {
-  const auto it = batch_op_index_.find(std::string(name));
+  const auto it = batch_op_index_.find(name);
   if (it != batch_op_index_.end()) return it->second;
   const auto slot = static_cast<std::uint32_t>(batch_ops_.size());
   BatchOp op;
@@ -81,33 +138,19 @@ void StreamChecker::route(std::uint32_t device, std::uint32_t op) {
 }
 
 std::size_t StreamChecker::ingest_ndjson(std::string_view chunk) {
-  std::size_t consumed = 0;
-  while (true) {
-    const std::size_t newline = chunk.find('\n', consumed);
-    if (newline == std::string_view::npos) break;
-    const std::string_view line = chunk.substr(consumed, newline - consumed);
-    consumed = newline + 1;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-    try {
-      const JsonValue value = parse_json(line);
-      const JsonValue* device = value.find("device");
-      const JsonValue* op = value.find("op");
-      if (device == nullptr || op == nullptr || !device->is_string() ||
-          !op->is_string()) {
-        ++stats_.malformed;
-        continue;
-      }
-      route(intern_device(device->as_string()),
-            intern_batch_op(op->as_string()));
-    } catch (const JsonParseError&) {
-      ++stats_.malformed;
-    }
-  }
+  const IngestProbe probe(stats_);
+  const std::size_t consumed = for_each_event_line(
+      chunk,
+      [&](std::string_view device, std::string_view op) {
+        route(intern_device(device), intern_batch_op(op));
+      },
+      [&] { ++stats_.malformed; });
   check_batch();
   return consumed;
 }
 
 void StreamChecker::ingest_binary(std::string_view body) {
+  const IngestProbe probe(stats_);
   support::BinaryReader reader(body);
   if (reader.u32() != kFrameVersion) {
     throw support::BinaryFormatError("event frame version unsupported");
@@ -156,7 +199,10 @@ void StreamChecker::ingest_event(std::string_view device,
   route(intern_device(device), intern_batch_op(op));
 }
 
-void StreamChecker::flush() { check_batch(); }
+void StreamChecker::flush() {
+  const IngestProbe probe(stats_);
+  check_batch();
+}
 
 void StreamChecker::check_shard(std::size_t shard, ShardResult& result) {
   std::vector<fsm::CompiledDfa::Letter> allowed;

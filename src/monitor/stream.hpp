@@ -13,7 +13,11 @@
 //
 // Two wire formats:
 //   * NDJSON  -- one {"device": "...", "op": "..."} object per line;
-//                undecodable lines are counted (`malformed`), never fatal;
+//                undecodable lines are counted (`malformed`), never fatal.
+//                Each line is decoded in place (decode_event_line): the
+//                JSON grammar validates it without building a document, and
+//                the names are interned by view, so a line for a known
+//                device and operation allocates nothing;
 //   * SMEV    -- a length-prefixed binary frame format (see MONITORING.md):
 //                "SMEV" | u64 body size | body, where the body is
 //                u32 version | device table | op table | u64 event count |
@@ -27,6 +31,7 @@
 // index, and the allowed-next set at the point of violation.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -36,9 +41,58 @@
 
 #include "fsm/table.hpp"
 #include "support/binary.hpp"
+#include "support/json.hpp"
 #include "support/source_location.hpp"
+#include "support/strings.hpp"
 
 namespace shelley::monitor {
+
+/// The event one NDJSON line carries, decoded in place by
+/// decode_event_line.  device() and op() view the line, or this object's
+/// scratch for a name written with escapes; they live until the next
+/// decode into this object or until the line's buffer changes.
+class EventLine {
+ public:
+  [[nodiscard]] std::string_view device() const { return fields_[0].text; }
+  [[nodiscard]] std::string_view op() const { return fields_[1].text; }
+
+ private:
+  friend bool decode_event_line(std::string_view line, EventLine& event);
+
+  std::array<JsonRootField, 2> fields_{JsonRootField("device"),
+                                       JsonRootField("op")};
+};
+
+/// The rule every NDJSON reader applies to one line: true exactly when
+/// parse_json accepts `line`, its root is an object, and that object's
+/// first "device" and first "op" members are both strings.  `event` then
+/// holds them.  Builds no document; a line that does not parse costs one
+/// caught JsonParseError.
+[[nodiscard]] bool decode_event_line(std::string_view line, EventLine& event);
+
+/// Walks the complete ('\n'-terminated) lines of `chunk`, skipping blank
+/// ones: each event line goes to on_event(device, op) -- views that live
+/// only for the call -- and every other line to on_malformed().  Returns
+/// the bytes consumed; a trailing partial line is left for the caller's
+/// next read.
+template <typename OnEvent, typename OnMalformed>
+std::size_t for_each_event_line(std::string_view chunk, OnEvent&& on_event,
+                                OnMalformed&& on_malformed) {
+  EventLine event;
+  std::size_t consumed = 0;
+  std::size_t newline = 0;
+  while ((newline = chunk.find('\n', consumed)) != std::string_view::npos) {
+    const std::string_view line = chunk.substr(consumed, newline - consumed);
+    consumed = newline + 1;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    if (decode_event_line(line, event)) {
+      on_event(event.device(), event.op());
+    } else {
+      on_malformed();
+    }
+  }
+  return consumed;
+}
 
 /// One rejected event.  `allowed` lists the operations that would have been
 /// legal instead, in letter order; `loc` is the declaration site of the
@@ -150,7 +204,7 @@ class StreamChecker {
   fsm::CompiledDfa table_;
   Options options_;
 
-  std::unordered_map<std::string, std::uint32_t> device_index_;
+  StringMap<std::uint32_t> device_index_;
   std::vector<std::string> device_names_;
   std::vector<DeviceState> devices_;
 
@@ -158,7 +212,7 @@ class StreamChecker {
 
   // Per-batch scratch, cleared (capacity kept) after every check.
   std::vector<BatchOp> batch_ops_;
-  std::unordered_map<std::string, std::uint32_t> batch_op_index_;
+  StringMap<std::uint32_t> batch_op_index_;
   std::vector<std::vector<PendingEvent>> shards_;
   std::size_t batch_events_ = 0;
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <type_traits>
 
 #include "support/guard.hpp"
 
@@ -202,6 +203,27 @@ const JsonValue& JsonValue::at(std::string_view key) const {
 
 namespace {
 
+/// What parse_value<kBuild> returns: the document node when building, and
+/// nothing at all when the caller only validates.
+struct Skipped {};
+template <bool kBuild>
+using Parsed = std::conditional_t<kBuild, JsonValue, Skipped>;
+
+/// make() when building; nothing otherwise.
+template <bool kBuild, typename Make>
+Parsed<kBuild> build(Make&& make) {
+  if constexpr (kBuild) {
+    return make();
+  } else {
+    return {};
+  }
+}
+
+/// The one JSON grammar.  parse_value<true> builds a document and
+/// parse_value<false> only validates; both run the same code, so they
+/// accept the same texts and fail at the same offsets with the same
+/// messages.  Strings are read as views (of the input, or of a scratch
+/// string once an escape needs decoding), so validating allocates nothing.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text)
@@ -209,16 +231,60 @@ class JsonParser {
         max_depth_(support::guard::limits().max_recursion_depth) {}
 
   JsonValue parse_document() {
-    JsonValue value = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing characters after document");
+    JsonValue value = parse_value<true>();
+    expect_end();
     return value;
   }
 
+  bool scan_root(std::span<JsonRootField> fields) {
+    for (JsonRootField& field : fields) {
+      field.found = false;
+      field.is_string = false;
+      field.text = {};
+    }
+    skip_whitespace();
+    const bool object = peek() == '{';
+    if (object) {
+      const Nesting nesting(*this);
+      parse_members([&](std::string_view key) {
+        JsonRootField* field = nullptr;
+        for (JsonRootField& candidate : fields) {
+          if (!candidate.found && candidate.key == key) {
+            field = &candidate;
+            break;
+          }
+        }
+        if (field == nullptr) {
+          (void)parse_value<false>();
+          return;
+        }
+        field->found = true;
+        skip_whitespace();
+        if (peek() == '"') {
+          field->is_string = true;
+          field->text = parse_string(field->scratch);
+        } else {
+          (void)parse_value<false>();
+        }
+      });
+    } else {
+      (void)parse_value<false>();
+    }
+    expect_end();
+    return object;
+  }
+
  private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw JsonParseError("json: " + message + " at offset " +
+  // The failure paths build their messages out of line, so the hot
+  // helpers below (peek, expect, parse_string) stay small enough to inline.
+  [[noreturn]] void fail(std::string_view message) const {
+    throw JsonParseError("json: " + std::string(message) + " at offset " +
                          std::to_string(pos_));
+  }
+
+  [[noreturn]] void fail_expected(char wanted) const {
+    fail(std::string("expected '") + wanted + "', found '" + text_[pos_] +
+         "'");
   }
 
   void skip_whitespace() {
@@ -229,22 +295,26 @@ class JsonParser {
     }
   }
 
+  void expect_end() {
+    skip_whitespace();
+    if (pos_ != text_.size()) fail("trailing characters after document");
+  }
+
   char peek() {
     if (pos_ >= text_.size()) fail("unexpected end of input");
     return text_[pos_];
   }
 
   void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "', found '" + peek() + "'");
-    }
+    if (peek() != c) fail_expected(c);
     ++pos_;
   }
 
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
+  void expect_literal(std::string_view literal) {
+    if (text_.substr(pos_, literal.size()) != literal) {
+      fail("invalid literal");
+    }
     pos_ += literal.size();
-    return true;
   }
 
   // One level of array/object nesting.  Containers nest by recursion, so
@@ -252,8 +322,7 @@ class JsonParser {
   // one hostile line cannot overflow the stack.  The error is a
   // JsonParseError because that is what every reader of untrusted lines
   // catches and counts.  A scope object rather than a local copy of the
-  // value keeps each container's return a prvalue, so the NDJSON decode
-  // pays no extra JsonValue move per line.
+  // value keeps each container's return a prvalue.
   class Nesting {
    public:
     explicit Nesting(JsonParser& parser) : parser_(parser) {
@@ -272,72 +341,111 @@ class JsonParser {
     JsonParser& parser_;
   };
 
-  JsonValue parse_value() {
+  template <bool kBuild>
+  Parsed<kBuild> parse_value() {
     skip_whitespace();
     switch (peek()) {
       case '{': {
         const Nesting nesting(*this);
-        return parse_object();
+        return parse_object<kBuild>();
       }
       case '[': {
         const Nesting nesting(*this);
-        return parse_array();
+        return parse_array<kBuild>();
       }
-      case '"': return JsonValue::make_string(parse_string());
+      case '"': {
+        const std::string_view text = parse_string(scratch_);
+        return build<kBuild>(
+            [&] { return JsonValue::make_string(std::string(text)); });
+      }
       case 't':
-        if (!consume_literal("true")) fail("invalid literal");
-        return JsonValue::make_bool(true);
+        expect_literal("true");
+        return build<kBuild>([] { return JsonValue::make_bool(true); });
       case 'f':
-        if (!consume_literal("false")) fail("invalid literal");
-        return JsonValue::make_bool(false);
+        expect_literal("false");
+        return build<kBuild>([] { return JsonValue::make_bool(false); });
       case 'n':
-        if (!consume_literal("null")) fail("invalid literal");
-        return JsonValue();
-      default: return parse_number();
+        expect_literal("null");
+        return build<kBuild>([] { return JsonValue(); });
+      default: {
+        const double number = parse_number();
+        return build<kBuild>([&] { return JsonValue::make_number(number); });
+      }
     }
   }
 
-  JsonValue parse_object() {
+  /// Reads an object, calling on_member(key) once per member; on_member
+  /// must read exactly one value.  `key` may view scratch_, so it dies
+  /// with the next string read.
+  template <typename OnMember>
+  void parse_members(OnMember&& on_member) {
     expect('{');
-    JsonValue::Object members;
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
-      return JsonValue::make_object(std::move(members));
+      return;
     }
     while (true) {
       skip_whitespace();
-      std::string key = parse_string();
+      const std::string_view key = parse_string(scratch_);
       skip_whitespace();
       expect(':');
-      members.emplace_back(std::move(key), parse_value());
+      on_member(key);
       skip_whitespace();
       if (peek() == ',') {
         ++pos_;
         continue;
       }
       expect('}');
-      return JsonValue::make_object(std::move(members));
+      return;
     }
   }
 
-  JsonValue parse_array() {
+  /// Reads an array, calling on_element() once per element.
+  template <typename OnElement>
+  void parse_elements(OnElement&& on_element) {
     expect('[');
-    JsonValue::Array elements;
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
-      return JsonValue::make_array(std::move(elements));
+      return;
     }
     while (true) {
-      elements.push_back(parse_value());
+      on_element();
       skip_whitespace();
       if (peek() == ',') {
         ++pos_;
         continue;
       }
       expect(']');
+      return;
+    }
+  }
+
+  template <bool kBuild>
+  Parsed<kBuild> parse_object() {
+    if constexpr (kBuild) {
+      JsonValue::Object members;
+      parse_members([&](std::string_view key) {
+        std::string name(key);  // read before the value reuses scratch_
+        members.emplace_back(std::move(name), parse_value<true>());
+      });
+      return JsonValue::make_object(std::move(members));
+    } else {
+      parse_members([&](std::string_view) { (void)parse_value<false>(); });
+      return {};
+    }
+  }
+
+  template <bool kBuild>
+  Parsed<kBuild> parse_array() {
+    if constexpr (kBuild) {
+      JsonValue::Array elements;
+      parse_elements([&] { elements.push_back(parse_value<true>()); });
       return JsonValue::make_array(std::move(elements));
+    } else {
+      parse_elements([&] { (void)parse_value<false>(); });
+      return {};
     }
   }
 
@@ -360,7 +468,7 @@ class JsonParser {
     return value;
   }
 
-  void append_utf8(std::string& out, std::uint32_t cp) {
+  static void append_utf8(std::string& out, std::uint32_t cp) {
     if (cp < 0x80) {
       out += static_cast<char>(cp);
     } else if (cp < 0x800) {
@@ -378,55 +486,79 @@ class JsonParser {
     }
   }
 
-  std::string parse_string() {
+  /// Decodes the escape whose backslash was just read, appending it.
+  void append_escape(std::string& out) {
+    if (pos_ >= text_.size()) fail("truncated escape");
+    const char escape = text_[pos_++];
+    switch (escape) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        std::uint32_t cp = parse_hex4();
+        if (cp >= 0xd800 && cp <= 0xdbff) {
+          // High surrogate: a low surrogate escape must follow.
+          if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
+              text_[pos_ + 1] != 'u') {
+            fail("unpaired surrogate");
+          }
+          pos_ += 2;
+          const std::uint32_t low = parse_hex4();
+          if (low < 0xdc00 || low > 0xdfff) fail("unpaired surrogate");
+          cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+        } else if (cp >= 0xdc00 && cp <= 0xdfff) {
+          fail("unpaired surrogate");
+        }
+        append_utf8(out, cp);
+        break;
+      }
+      default: fail("invalid escape");
+    }
+  }
+
+  /// Reads one string and returns its decoded text: a view of the input
+  /// when the string has no escape, else a view of `scratch`, which it
+  /// overwrites.
+  std::string_view parse_string(std::string& scratch) {
     expect('"');
-    std::string out;
+    const std::size_t start = pos_;
     while (true) {
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
-      if (c == '"') return out;
+      if (c == '"') return text_.substr(start, pos_ - 1 - start);
+      if (c == '\\') return parse_escaped(start, scratch);
       if (static_cast<unsigned char>(c) < 0x20) {
         fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("truncated escape");
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          std::uint32_t cp = parse_hex4();
-          if (cp >= 0xd800 && cp <= 0xdbff) {
-            // High surrogate: a low surrogate escape must follow.
-            if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
-                text_[pos_ + 1] != 'u') {
-              fail("unpaired surrogate");
-            }
-            pos_ += 2;
-            const std::uint32_t low = parse_hex4();
-            if (low < 0xdc00 || low > 0xdfff) fail("unpaired surrogate");
-            cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
-          } else if (cp >= 0xdc00 && cp <= 0xdfff) {
-            fail("unpaired surrogate");
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default: fail("invalid escape");
       }
     }
   }
 
-  JsonValue parse_number() {
+  /// The rest of a string from `start` whose first escape's backslash was
+  /// just read, decoded into `scratch`.
+  std::string_view parse_escaped(std::size_t start, std::string& scratch) {
+    scratch.assign(text_.data() + start, pos_ - 1 - start);
+    append_escape(scratch);
+    while (true) {
+      if (pos_ >= text_.size()) fail("unterminated string");
+      const char c = text_[pos_++];
+      if (c == '"') return scratch;
+      if (c == '\\') {
+        append_escape(scratch);
+        continue;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("raw control character in string");
+      }
+      scratch += c;
+    }
+  }
+
+  double parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     while (pos_ < text_.size() &&
@@ -442,19 +574,25 @@ class JsonParser {
       pos_ = start;
       fail("invalid number");
     }
-    return JsonValue::make_number(value);
+    return value;
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t max_depth_;
   std::size_t depth_ = 0;
+  std::string scratch_;  // decoded text of the last escaped string
 };
 
 }  // namespace
 
 JsonValue parse_json(std::string_view text) {
   return JsonParser(text).parse_document();
+}
+
+bool scan_root_strings(std::string_view text,
+                       std::span<JsonRootField> fields) {
+  return JsonParser(text).scan_root(fields);
 }
 
 }  // namespace shelley

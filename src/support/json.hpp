@@ -1,10 +1,14 @@
 // A minimal streaming JSON writer (objects, arrays, strings, numbers,
 // booleans, null) with correct string escaping, plus a small recursive-
-// descent parser (JsonValue / parse_json).  Used by the report exporter,
-// the CLI's --json mode, and the trace exporter's round-trip tests.
+// descent parser.  The parser's one grammar has two uses: parse_json builds
+// a JsonValue document (the report exporter, the CLI's --json mode, the
+// daemon's requests, the trace exporter's round-trip tests), and
+// scan_root_strings validates a document and reads a few root string
+// members as views, building nothing (the monitor's NDJSON event lines).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -100,5 +104,28 @@ class JsonValue {
 /// JsonParseError on malformed input, trailing non-whitespace, or arrays
 /// and objects nested deeper than support::guard's recursion limit.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
+
+/// One root member that scan_root_strings looks up, and what it found.
+/// Reusing a field across calls keeps a value with escapes allocation-free
+/// once `scratch` has grown.
+struct JsonRootField {
+  explicit JsonRootField(std::string_view name) : key(name) {}
+
+  std::string_view key;    ///< in: the (decoded) member name
+  bool found = false;      ///< out: the root object has a member `key`
+  bool is_string = false;  ///< out: the first such member is a string
+  std::string_view text;   ///< out: that string, decoded
+  std::string scratch;     ///< holds `text` when the string had escapes
+};
+
+/// Runs parse_json's grammar over `text` -- the same nesting bound, and a
+/// JsonParseError with the same text and offset wherever parse_json would
+/// throw one -- but builds no document.  Returns whether the root is an
+/// object.  Each field (keys distinct) then describes the root's first
+/// member named `key`, as find() would see it.  A string without escapes
+/// is a view of `text`, so it lives as long as the caller's buffer; one
+/// with escapes is decoded into the field's scratch.
+[[nodiscard]] bool scan_root_strings(std::string_view text,
+                                     std::span<JsonRootField> fields);
 
 }  // namespace shelley

@@ -1,11 +1,28 @@
 // Small string utilities shared across the project.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace shelley {
+
+/// A transparent string hash: with std::equal_to<>, a map keyed by
+/// std::string is searched by std::string_view without building a key.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
+
+/// A std::string-keyed map whose lookups take views and allocate nothing.
+template <typename Value>
+using StringMap =
+    std::unordered_map<std::string, Value, StringHash, std::equal_to<>>;
 
 /// Joins `parts` with `separator`.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,

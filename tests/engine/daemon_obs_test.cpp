@@ -535,5 +535,56 @@ TEST_F(DaemonObsTest, PrometheusRenderDeduplicatesCollidingSanitizedNames) {
   EXPECT_TRUE(families.contains("shelley_collide_h_us_2"));
 }
 
+TEST_F(DaemonObsTest, MonitorDataPlaneShowsInStatsMetricsAndTrace) {
+  // Two monitor requests: an NDJSON blob (3 events, one a violation, plus
+  // one malformed line) and an inline event array (2 events).
+  JsonWriter ndjson;
+  ndjson.begin_object();
+  ndjson.key("cmd").value("monitor");
+  ndjson.key("class").value("Valve");
+  ndjson.key("ndjson").value(
+      "{\"device\":\"a\",\"op\":\"test\"}\nnot json\n"
+      "{\"device\":\"a\",\"op\":\"open\"}\n"
+      "{\"device\":\"b\",\"op\":\"close\"}\n");
+  ndjson.end_object();
+  const auto responses = daemon_session(
+      {load_request(), ndjson.str(),
+       R"({"cmd":"monitor","class":"Valve","events":[)"
+       R"({"device":"c","op":"test"},{"device":"c","op":"clean"}]})",
+       R"({"cmd":"stats"})", R"({"cmd":"metrics"})", R"({"cmd":"trace"})",
+       R"({"cmd":"shutdown"})"});
+  ASSERT_EQ(responses.size(), 7u);
+  ASSERT_TRUE(responses[1].at("ok").as_bool());
+  EXPECT_EQ(responses[1].at("violations").as_number(), 1.0);
+  EXPECT_EQ(responses[1].at("malformed").as_number(), 1.0);
+
+  const JsonValue& stats = responses[3];
+  const JsonValue& counters = stats.at("counters");
+  EXPECT_EQ(counters.at("monitor.events").as_number(), 5.0);
+  EXPECT_EQ(counters.at("monitor.accepted").as_number(), 4.0);
+  EXPECT_EQ(counters.at("monitor.violations").as_number(), 1.0);
+  EXPECT_EQ(counters.at("monitor.malformed").as_number(), 1.0);
+  // One batch per monitor request: the blob, and the array's flush.
+  EXPECT_EQ(stats.at("histograms")
+                .at("monitor.batch_us")
+                .at("count")
+                .as_number(),
+            2.0);
+
+  const std::string& body = responses[4].at("body").as_string();
+  EXPECT_NE(body.find("shelley_monitor_events_total 5\n"), std::string::npos);
+  EXPECT_NE(body.find("shelley_monitor_batch_us_count 2\n"),
+            std::string::npos);
+
+  std::size_t ingest_spans = 0;
+  const JsonValue trace_doc = parse_json(responses[5].at("trace").as_string());
+  for (const JsonValue& event : trace_doc.at("traceEvents").as_array()) {
+    if (const JsonValue* name = event.find("name")) {
+      if (name->as_string() == "monitor.ingest") ++ingest_spans;
+    }
+  }
+  EXPECT_EQ(ingest_spans, 2u);
+}
+
 }  // namespace
 }  // namespace shelley::engine

@@ -3,7 +3,8 @@
 // sequence against a dedicated single-session stdio daemon; admission
 // control must answer over-quota pipelining with structured reject
 // replies; per-session shutdown must leave the server serving while
-// scope:"server" stops it.
+// scope:"server" stops it; a line past the input bound is one structured
+// error, and the session keeps serving.
 #include "engine/server.hpp"
 
 #include <sys/socket.h>
@@ -23,6 +24,7 @@
 #include "engine/daemon.hpp"
 #include "engine/driver.hpp"
 #include "paper_sources.hpp"
+#include "support/guard.hpp"
 #include "support/json.hpp"
 
 namespace shelley::engine {
@@ -384,6 +386,40 @@ TEST_F(ServerTest, MalformedRequestIsAnErrorReplyNotACrash) {
   EXPECT_FALSE(parse_json(replies[0]).at("ok").as_bool());
   EXPECT_FALSE(parse_json(replies[1]).at("ok").as_bool());
   EXPECT_TRUE(parse_json(replies[2]).at("ok").as_bool());
+  EXPECT_TRUE(parse_json(replies[3]).at("ok").as_bool());
+
+  server.request_stop();
+  serving.join();
+}
+
+TEST_F(ServerTest, OverLongLineIsOneBoundedErrorAndTheSessionKeepsServing) {
+  support::guard::Limits limits;
+  limits.max_input_bytes = 4096;
+  const support::guard::ScopedLimits scoped(limits);
+  CliOptions defaults;
+  SocketServer::Options options;
+  options.socket_path = socket_path();
+  SocketServer server(defaults, options, nullptr);
+  std::ostringstream err;
+  ASSERT_TRUE(server.start(err)) << err.str();
+  std::thread serving([&server] { EXPECT_EQ(server.serve(), 0); });
+
+  // A line past the bound is answered from the reader before anything
+  // after it is queued; a line exactly at the bound is a request like any
+  // other (and not JSON).
+  const auto replies = socket_session(
+      socket_path(), {std::string(10000, 'a'), R"({"cmd":"version"})",
+                      std::string(4096, 'b'), R"({"cmd":"shutdown"})"});
+  ASSERT_EQ(replies.size(), 4u);
+  const JsonValue bounded = parse_json(replies[0]);
+  EXPECT_FALSE(bounded.at("ok").as_bool());
+  EXPECT_NE(bounded.at("error").as_string().find("4096 bytes"),
+            std::string::npos);
+  EXPECT_TRUE(parse_json(replies[1]).at("ok").as_bool());
+  const JsonValue at_limit = parse_json(replies[2]);
+  EXPECT_FALSE(at_limit.at("ok").as_bool());
+  EXPECT_EQ(at_limit.at("error").as_string().find("4096 bytes"),
+            std::string::npos);
   EXPECT_TRUE(parse_json(replies[3]).at("ok").as_bool());
 
   server.request_stop();

@@ -1,12 +1,15 @@
 // StreamChecker (monitor/stream.hpp): NDJSON and SMEV ingestion, partial
 // chunk carrying, shard-count determinism, violation-report contents,
 // latching, the deferred ingest_event/flush path, report capping with
-// dropped accounting, and the adversarial binary surface (bad magic,
-// truncation, out-of-range records check nothing).
+// dropped accounting, the adversarial binary surface (bad magic,
+// truncation, out-of-range records check nothing), chunk splits at every
+// byte, the allocation-free decode of known devices, and the data-plane
+// metrics.
 #include "monitor/stream.hpp"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +19,9 @@
 #include "paper_sources.hpp"
 #include "shelley/automata.hpp"
 #include "shelley/spec.hpp"
+#include "support/alloc.hpp"
+#include "support/metrics.hpp"
+#include "support/trace.hpp"
 #include "upy/parser.hpp"
 
 namespace shelley::monitor {
@@ -284,6 +290,149 @@ TEST_F(StreamTest, DevicesPersistAcrossBatches) {
   EXPECT_EQ(checker.completed_devices(), 1u);
   checker.ingest_ndjson(line("v1", "close"));  // close twice: violation
   EXPECT_EQ(checker.stats().violations, 1u);
+}
+
+/// Everything a checker reports: counters, fleet snapshot, and reports.
+void expect_same_results(const StreamChecker& got,
+                         const StreamChecker& want) {
+  EXPECT_EQ(got.stats().events, want.stats().events);
+  EXPECT_EQ(got.stats().ok, want.stats().ok);
+  EXPECT_EQ(got.stats().violations, want.stats().violations);
+  EXPECT_EQ(got.stats().malformed, want.stats().malformed);
+  EXPECT_EQ(got.stats().devices, want.stats().devices);
+  EXPECT_EQ(got.stats().violations_dropped, want.stats().violations_dropped);
+  EXPECT_EQ(got.completed_devices(), want.completed_devices());
+  EXPECT_EQ(got.violated_devices(), want.violated_devices());
+  EXPECT_EQ(got.incomplete_devices(), want.incomplete_devices());
+  ASSERT_EQ(got.violations().size(), want.violations().size());
+  for (std::size_t i = 0; i < want.violations().size(); ++i) {
+    const Violation& a = got.violations()[i];
+    const Violation& b = want.violations()[i];
+    EXPECT_EQ(a.event_index, b.event_index);
+    EXPECT_EQ(a.device_event_index, b.device_event_index);
+    EXPECT_EQ(a.device, b.device);
+    EXPECT_EQ(a.operation, b.operation);
+    EXPECT_EQ(a.allowed, b.allowed);
+    EXPECT_EQ(a.loc.line, b.loc.line);
+    EXPECT_EQ(a.loc.column, b.loc.column);
+  }
+}
+
+TEST_F(StreamTest, SplittingTheStreamAtAnyByteChangesNothing) {
+  // Names decode as views into the chunk, so nothing may still point into
+  // the first chunk once its call returns: it is overwritten before the
+  // rest arrives.
+  const std::string events =
+      line("v1", "test") + R"({"device":"v\u0032","op":"test"})" "\n" +
+      "not json\n" + line("v1", "close") + "\n" +
+      R"({"op":"clean","device":"v2"})" "\r\n" + line("a-long-device-name-3",
+                                                     "explode") +
+      R"({"dev\u0069ce":"v\u0031","op":"open"})" "\n" + line("v2", "test") +
+      line("a-long-device-name-3", "test") + "{\"device\":\"v4\"";
+  StreamChecker whole = make_checker(1, 2);
+  const std::size_t whole_used = whole.ingest_ndjson(events);
+  for (std::size_t cut = 0; cut <= events.size(); ++cut) {
+    StreamChecker split = make_checker(1, 2);
+    std::string first = events.substr(0, cut);
+    const std::size_t used = split.ingest_ndjson(first);
+    std::string rest = first.substr(used) + events.substr(cut);
+    first.assign(first.size(), 'x');
+    EXPECT_EQ(used + split.ingest_ndjson(rest), whole_used) << "cut " << cut;
+    expect_same_results(split, whole);
+  }
+  EXPECT_EQ(whole.stats().malformed, 1u);
+  EXPECT_EQ(whole.violations().size(), 2u);
+}
+
+TEST_F(StreamTest, KnownDevicesAllocateNothingPerLine) {
+  // The data plane itself, without the metrics layer.
+  const bool metrics_were_on = support::metrics::enabled();
+  const bool trace_was_on = support::trace::enabled();
+  support::metrics::set_enabled(false);
+  support::trace::set_enabled(false);
+  // 64 devices cycling test -> clean, both known operations.  The names
+  // are longer than any short-string buffer, so a lookup that built a
+  // std::string key would allocate.
+  const auto batch = [](std::size_t lines) {
+    std::string chunk;
+    for (std::size_t i = 0; i < lines; ++i) {
+      chunk += line(("irrigation-valve-" + std::to_string(i % 64)).c_str(),
+                    (i / 64) % 2 == 0 ? "test" : "clean");
+    }
+    return chunk;
+  };
+  const auto second_batch_allocations = [&](std::size_t lines) {
+    StreamChecker checker = make_checker();
+    const std::string chunk = batch(lines);
+    checker.ingest_ndjson(chunk);  // learns the devices
+    const std::uint64_t before = support::alloc::allocation_count();
+    checker.ingest_ndjson(chunk);
+    const std::uint64_t spent = support::alloc::allocation_count() - before;
+    EXPECT_EQ(checker.stats().ok, 2 * lines);
+    return spent;
+  };
+  const std::uint64_t small = second_batch_allocations(1024);
+  const std::uint64_t large = second_batch_allocations(4096);
+  EXPECT_EQ(small, large);
+  EXPECT_LE(large, 16u);
+  support::metrics::set_enabled(metrics_were_on);
+  support::trace::set_enabled(trace_was_on);
+}
+
+TEST_F(StreamTest, MetricsChargeEveryIngestCall) {
+  namespace metrics = support::metrics;
+  namespace trace = support::trace;
+  const bool metrics_were_on = metrics::enabled();
+  const bool trace_was_on = trace::enabled();
+  // NDJSON (2 events, 1 violation, 1 malformed line), one SMEV frame and
+  // one flush of deferred events: three ingest calls.
+  const auto drive = [&](StreamChecker& checker) {
+    checker.ingest_ndjson(line("v1", "test") + "not json\n" +
+                          line("v1", "close"));
+    const std::string frame = encode_binary_frame({"v2"}, {"test"}, {{0, 0}});
+    EXPECT_EQ(ingest_binary_stream(checker, frame), frame.size());
+    checker.ingest_event("v3", "test");
+    checker.flush();
+  };
+  metrics::set_enabled(false);
+  trace::set_enabled(false);
+  StreamChecker plain = make_checker();
+  drive(plain);
+
+  metrics::set_enabled(true);
+  metrics::reset();
+  trace::set_enabled(true);
+  trace::reset();
+  StreamChecker metered = make_checker();
+  drive(metered);
+  const std::string chrome = trace::to_chrome_json();
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [name, value] : metrics::counter_snapshot()) {
+    counters[name] = value;
+  }
+  std::uint64_t batches = 0;
+  for (const auto& [name, snap] : metrics::histogram_snapshot()) {
+    if (name == "monitor.batch_us") batches = snap.count;
+  }
+  metrics::set_enabled(metrics_were_on);
+  metrics::reset();
+  trace::set_enabled(trace_was_on);
+  trace::reset();
+
+  EXPECT_EQ(counters["monitor.events"], 4u);
+  EXPECT_EQ(counters["monitor.accepted"], 3u);
+  EXPECT_EQ(counters["monitor.violations"], 1u);
+  EXPECT_EQ(counters["monitor.malformed"], 1u);
+  EXPECT_EQ(batches, 3u);
+  std::size_t spans = 0;
+  for (std::size_t at = chrome.find("\"monitor.ingest\"");
+       at != std::string::npos;
+       at = chrome.find("\"monitor.ingest\"", at + 1)) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, 3u);
+  // Metering changes no verdict.
+  expect_same_results(metered, plain);
 }
 
 }  // namespace

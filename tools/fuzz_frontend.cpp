@@ -11,24 +11,29 @@
 //   .ltlf         ltlf::parse -> to_dfa (under a tight state budget)
 //   .smv          smv::parse_model
 //   .shc          cache entry decode (framing + verdict payload + DFA/table)
-//   .ndjson       StreamChecker NDJSON event ingestion
+//   .ndjson       StreamChecker NDJSON event ingestion, plus every line
+//                 through decode_event_line against parse_json + find
 //   .smev         StreamChecker binary (SMEV) frame decode
+//   .json         support/json: parse_json against scan_root_strings
 //
 // The contract under test is the never-crash guarantee: every input either
 // succeeds or fails with a structured diagnostic/ParseError (ResourceError
 // included).  Any other exception -- or a crash/hang, which ctest's TIMEOUT
-// catches -- is a bug; the offending input is dumped for reproduction.
+// catches -- is a bug, and so is a disagreement between the two uses of the
+// one JSON grammar; the offending input is dumped for reproduction.
 //
 // Everything is deterministic: fixed RNG seed, no wall-clock dependence in
 // the mutation schedule (the per-iteration deadline only bounds runaway
 // inputs and never changes what counts as a failure).
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -46,6 +51,7 @@
 #include "smv/parser.hpp"
 #include "support/guard.hpp"
 #include "support/hash.hpp"
+#include "support/json.hpp"
 
 namespace {
 
@@ -85,7 +91,8 @@ const char* const kDictionary[] = {
     "@claim", "if ",  "else",  "match ", "case ",  "self.", "+",
     "*",    "G ",     "F ",    "X ",     "U ",     "!",     "&",
     "|",    "->",     "MODULE", "state =", "event =", "[",   "]",
-    ",",    "#",      "end",   "0",      "\x01",   "\xff",
+    ",",    "#",      "end",   "0",      "\x01",   "\xff",  "{",
+    "}",    "\\u00", "\"op\":", "null",  "1e999",
 };
 
 std::string mutate(const std::string& seed,
@@ -160,6 +167,64 @@ const fsm::CompiledDfa& fuzz_table() {
   return table;
 }
 
+/// The one-grammar contract on one text: scan_root_strings accepts what
+/// parse_json accepts, fails with the same message, and sees each root
+/// member as find() does.
+bool scan_agrees_with_parse(std::string_view text) {
+  std::optional<JsonValue> document;
+  std::string document_error;
+  try {
+    document = parse_json(text);
+  } catch (const JsonParseError& error) {
+    document_error = error.what();
+  }
+  std::array<JsonRootField, 2> fields{JsonRootField("device"),
+                                      JsonRootField("op")};
+  bool object = false;
+  bool scanned = true;
+  std::string scan_error;
+  try {
+    object = scan_root_strings(text, fields);
+  } catch (const JsonParseError& error) {
+    scanned = false;
+    scan_error = error.what();
+  }
+  if (scanned != document.has_value() || scan_error != document_error) {
+    return false;
+  }
+  if (!document) return true;
+  if (object != document->is_object()) return false;
+  for (const JsonRootField& field : fields) {
+    const JsonValue* member = document->find(field.key);
+    if (field.found != (member != nullptr)) return false;
+    if (member == nullptr) continue;
+    if (field.is_string != member->is_string()) return false;
+    if (field.is_string && field.text != member->as_string()) return false;
+  }
+  return true;
+}
+
+/// decode_event_line's verdict and names against parse_json + find.
+bool decoder_agrees_with_parse(std::string_view line,
+                               monitor::EventLine& event) {
+  std::optional<std::pair<std::string, std::string>> expected;
+  try {
+    const JsonValue document = parse_json(line);
+    const JsonValue* device = document.find("device");
+    const JsonValue* op = document.find("op");
+    if (device != nullptr && op != nullptr && device->is_string() &&
+        op->is_string()) {
+      expected.emplace(device->as_string(), op->as_string());
+    }
+  } catch (const JsonParseError&) {
+    // Malformed: the decoder must reject it too.
+  }
+  const bool decoded = monitor::decode_event_line(line, event);
+  if (decoded != expected.has_value()) return false;
+  return !decoded ||
+         (event.device() == expected->first && event.op() == expected->second);
+}
+
 /// Runs one mutated input through the pipeline for its extension.  Returns
 /// true when the contract held (success or structured error).
 bool run_one(const std::string& extension, const std::string& input) {
@@ -194,6 +259,23 @@ bool run_one(const std::string& extension, const std::string& input) {
       }
       (void)checker.stats();
       (void)checker.violations();
+      monitor::EventLine event;
+      for (std::size_t start = 0; start <= input.size();) {
+        const std::size_t end = std::min(input.find('\n', start), input.size());
+        const std::string_view line(input.data() + start, end - start);
+        if (!decoder_agrees_with_parse(line, event)) {
+          std::cerr << "fuzz_frontend: decode_event_line disagrees with "
+                       "parse_json + find on one line\n";
+          return false;
+        }
+        start = end + 1;
+      }
+    } else if (extension == ".json") {
+      if (!scan_agrees_with_parse(input)) {
+        std::cerr << "fuzz_frontend: scan_root_strings disagrees with "
+                     "parse_json\n";
+        return false;
+      }
     } else if (extension == ".smev") {
       // The binary frame decoder: mutated frames either parse and check,
       // stop at a partial frame, or reject with BinaryFormatError -- and a

@@ -34,7 +34,7 @@
 #include "monitor/stream.hpp"
 #include "shelley/cache.hpp"
 #include "support/guard.hpp"
-#include "support/json.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -144,22 +144,26 @@ std::optional<MonitorOptions> parse_args(int argc, char** argv,
   return options;
 }
 
-/// Streams `in` through `consume(buffer, final)`; consume returns the bytes
-/// it used, the rest is carried into the next chunk.
+/// Streams `in` through `consume(buffer)`, which returns the bytes it
+/// used; the rest is carried into the next read.  With `lines`, a read
+/// that adds no '\n' does not call `consume`, so a long line is searched
+/// once, not once per read, and an unterminated last line gets its '\n'
+/// at end of input.  Returns whether every byte was used.
 template <typename Fn>
-bool pump(std::istream& in, Fn&& consume) {
+bool pump(std::istream& in, bool lines, Fn&& consume) {
   std::string pending;
   std::string chunk(1 << 20, '\0');
   while (in) {
     in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
     const std::streamsize got = in.gcount();
     if (got <= 0) break;
-    pending.append(chunk.data(), static_cast<std::size_t>(got));
-    const std::size_t used = consume(pending, false);
-    pending.erase(0, used);
+    const std::string_view fresh(chunk.data(), static_cast<std::size_t>(got));
+    pending.append(fresh);
+    if (lines && fresh.find('\n') == std::string_view::npos) continue;
+    pending.erase(0, consume(std::string_view(pending)));
   }
-  const std::size_t used = consume(pending, true);
-  pending.erase(0, used);
+  if (lines && !pending.empty()) pending.push_back('\n');
+  pending.erase(0, consume(std::string_view(pending)));
   return pending.empty();
 }
 
@@ -173,9 +177,9 @@ int emit_binary(const MonitorOptions& options, std::istream& in,
   }
   constexpr std::size_t kFrameEvents = 1u << 20;
   std::vector<std::string> devices;
-  std::unordered_map<std::string, std::uint32_t> device_index;
+  StringMap<std::uint32_t> device_index;
   std::vector<std::string> ops;
-  std::unordered_map<std::string, std::uint32_t> op_index;
+  StringMap<std::uint32_t> op_index;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> events;
   std::uint64_t malformed = 0;
   const auto flush_frame = [&] {
@@ -189,43 +193,24 @@ int emit_binary(const MonitorOptions& options, std::istream& in,
     events.clear();
   };
   const auto intern = [](std::vector<std::string>& names,
-                         std::unordered_map<std::string, std::uint32_t>& index,
-                         const std::string& name) {
+                         StringMap<std::uint32_t>& index,
+                         std::string_view name) {
     const auto it = index.find(name);
     if (it != index.end()) return it->second;
     const auto id = static_cast<std::uint32_t>(names.size());
-    names.push_back(name);
-    index.emplace(name, id);
+    names.emplace_back(name);
+    index.emplace(names.back(), id);
     return id;
   };
-  pump(in, [&](const std::string& buffer, bool final) {
-    std::size_t consumed = 0;
-    while (true) {
-      std::size_t end = buffer.find('\n', consumed);
-      if (end == std::string::npos) {
-        if (!final || consumed >= buffer.size()) break;
-        end = buffer.size();
-      }
-      const std::string_view line(buffer.data() + consumed, end - consumed);
-      consumed = end < buffer.size() ? end + 1 : end;
-      if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-      try {
-        const JsonValue value = parse_json(line);
-        const JsonValue* device = value.find("device");
-        const JsonValue* op = value.find("op");
-        if (device == nullptr || op == nullptr || !device->is_string() ||
-            !op->is_string()) {
-          ++malformed;
-          continue;
-        }
-        events.emplace_back(intern(devices, device_index, device->as_string()),
-                            intern(ops, op_index, op->as_string()));
-        if (events.size() >= kFrameEvents) flush_frame();
-      } catch (const JsonParseError&) {
-        ++malformed;
-      }
-    }
-    return consumed;
+  pump(in, true, [&](std::string_view buffer) {
+    return monitor::for_each_event_line(
+        buffer,
+        [&](std::string_view device, std::string_view op) {
+          events.emplace_back(intern(devices, device_index, device),
+                              intern(ops, op_index, op));
+          if (events.size() >= kFrameEvents) flush_frame();
+        },
+        [&] { ++malformed; });
   });
   flush_frame();
   if (malformed != 0) {
@@ -304,7 +289,7 @@ int run(const MonitorOptions& options, std::istream& stdin_stream,
   bool clean_input = true;
   if (options.binary) {
     try {
-      clean_input = pump(*events, [&](const std::string& buffer, bool) {
+      clean_input = pump(*events, false, [&](std::string_view buffer) {
         return monitor::ingest_binary_stream(checker, buffer);
       });
     } catch (const support::BinaryFormatError& error) {
@@ -317,16 +302,8 @@ int run(const MonitorOptions& options, std::istream& stdin_stream,
       return 2;
     }
   } else {
-    pump(*events, [&](const std::string& buffer, bool final) {
-      std::size_t used = checker.ingest_ndjson(buffer);
-      if (final && used < buffer.size()) {
-        // Flush an unterminated last line.
-        std::string tail(buffer, used);
-        tail.push_back('\n');
-        checker.ingest_ndjson(tail);
-        used = buffer.size();
-      }
-      return used;
+    pump(*events, true, [&](std::string_view buffer) {
+      return checker.ingest_ndjson(buffer);
     });
   }
   const auto elapsed = std::chrono::steady_clock::now() - started;
