@@ -57,15 +57,16 @@ void print_artifact() {
   engine::QueryEngine engine(workspace);
   (void)warm_request(engine);  // the priming request (a cold one)
   const std::string warm = warm_request(engine);
-  const engine::QueryStats stats = engine.stats();
+  const engine::QueryStats::Counts stats =
+      engine.stats()[core::CacheKind::kVerdict];
 
   std::printf("ring: %zu ops, %zu exits/op\n", kRingOps, kRingExits);
   std::printf("warm request: %llu report hits, %llu misses\n",
-              static_cast<unsigned long long>(stats.report_hits),
-              static_cast<unsigned long long>(stats.report_misses));
+              static_cast<unsigned long long>(stats.hits),
+              static_cast<unsigned long long>(stats.misses));
   std::printf("byte-identical to cold CLI: %s\n",
               cold == warm ? "yes" : "NO");
-  if (cold != warm || stats.report_hits == 0) {
+  if (cold != warm || stats.hits == 0) {
     std::fprintf(stderr, "bench_daemon: warm replay diverged\n");
     std::exit(1);
   }
@@ -87,7 +88,7 @@ void BM_DaemonRing200_Warm(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(warm_request(engine));
   }
-  if (engine.stats().report_misses > 1) {
+  if (engine.stats()[core::CacheKind::kVerdict].misses > 1) {
     // Every timed iteration must be a memo hit.
     std::fprintf(stderr, "bench_daemon: warm loop fell out of the memo\n");
     std::exit(1);

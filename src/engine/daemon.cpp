@@ -1,6 +1,5 @@
 #include "engine/daemon.hpp"
 
-#include <exception>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -17,25 +16,11 @@ int run_daemon(const CliOptions& session_options, std::istream& in,
                std::ostream& out, std::ostream& err) {
   // One set of resource guards for the whole session, exactly like the
   // batch client arms per run.
-  support::guard::Limits limits;
-  if (session_options.max_depth > 0) {
-    limits.max_recursion_depth = session_options.max_depth;
-  }
-  if (session_options.max_input_bytes > 0) {
-    limits.max_input_bytes = session_options.max_input_bytes;
-  }
-  limits.max_states = session_options.max_states;
-  limits.timeout_ms = session_options.timeout_ms;
-  support::guard::ScopedLimits guard(limits);
+  support::guard::ScopedLimits guard(guard_limits(session_options));
 
   std::optional<core::BehaviorCache> cache;
-  if (session_options.cache_dir) {
-    try {
-      cache.emplace(*session_options.cache_dir);
-    } catch (const std::exception& error) {
-      err << "shelleyd: " << error.what() << "\n";
-      return 2;
-    }
+  if (!open_cache(session_options.cache_dir, "shelleyd", err, cache)) {
+    return 2;
   }
   // The degenerate single-session transport: a private memo tier and
   // session-local request ids (SessionShared defaults), one line in, one

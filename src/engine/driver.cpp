@@ -249,6 +249,30 @@ std::optional<CliOptions> parse_cli_args(int argc, char** argv,
   return options;
 }
 
+support::guard::Limits guard_limits(const CliOptions& options) {
+  support::guard::Limits limits;
+  if (options.max_depth > 0) limits.max_recursion_depth = options.max_depth;
+  if (options.max_input_bytes > 0) {
+    limits.max_input_bytes = options.max_input_bytes;
+  }
+  limits.max_states = options.max_states;
+  limits.timeout_ms = options.timeout_ms;
+  return limits;
+}
+
+bool open_cache(const std::optional<std::string>& directory,
+                std::string_view tool, std::ostream& err,
+                std::optional<core::BehaviorCache>& cache) {
+  if (!directory) return true;
+  try {
+    cache.emplace(*directory);
+  } catch (const std::exception& error) {
+    err << tool << ": " << error.what() << "\n";
+    return false;
+  }
+  return true;
+}
+
 bool load_inputs(Workspace& workspace,
                  const std::vector<std::string>& files, std::ostream& err) {
   const std::size_t first_file = workspace.summaries().size();
@@ -308,10 +332,10 @@ int run_cli(const CliOptions& options, QueryEngine& engine,
   if (options.monitor) {
     const auto* spec = require_class(verifier, *options.monitor, err);
     if (spec == nullptr) return 2;
-    // The usage-DFA query hides the tiering (memo, then disk cache, then
-    // the usage_nfa/determinize/minimize pipeline); a cold answer is the
-    // same automaton the Monitor constructor would have built.
-    core::Monitor monitor(verifier.symbols(), engine.usage_dfa(*spec));
+    // The compiled-table query hides the tiering (memo, then disk cache,
+    // then the usage_nfa/determinize/minimize/compile pipeline); a cold
+    // answer is the table the Monitor constructor would have compiled.
+    core::Monitor monitor(verifier.symbols(), engine.compiled_table(*spec));
     std::string op;
     bool any_violation = false;
     while (in >> op) {
@@ -391,14 +415,7 @@ int run_tool(const CliOptions& options, std::istream& in, std::ostream& out,
 
   // Install the resource guards before any frontend code runs; the deadline
   // (--timeout-ms) is armed here and covers loading and verification.
-  support::guard::Limits limits;
-  if (options.max_depth > 0) limits.max_recursion_depth = options.max_depth;
-  if (options.max_input_bytes > 0) {
-    limits.max_input_bytes = options.max_input_bytes;
-  }
-  limits.max_states = options.max_states;
-  limits.timeout_ms = options.timeout_ms;
-  support::guard::ScopedLimits guard(limits);
+  support::guard::ScopedLimits guard(guard_limits(options));
 
   Workspace workspace;
   workspace.set_lint_options(core::LintOptions{options.dfa_budget});
@@ -406,18 +423,11 @@ int run_tool(const CliOptions& options, std::istream& in, std::ostream& out,
       core::CheckOptions{options.ltlf_engine, options.lint_claims});
 
   // Incremental verification: an on-disk behavior cache shared by the
-  // verification path (verdicts), --monitor (usage DFAs), and --smv
+  // verification path (verdicts), --monitor (compiled tables), and --smv
   // (emitted model bytes).
   std::optional<core::BehaviorCache> cache;
-  if (options.cache_dir) {
-    try {
-      cache.emplace(*options.cache_dir);
-    } catch (const std::exception& error) {
-      err << "shelleyc: " << error.what() << "\n";
-      return 2;
-    }
-    workspace.set_cache(&*cache);
-  }
+  if (!open_cache(options.cache_dir, "shelleyc", err, cache)) return 2;
+  if (cache) workspace.set_cache(&*cache);
   if (options.cache_stats && !cache) {
     err << "shelleyc: --cache-stats has no effect without --cache\n";
   }

@@ -9,9 +9,12 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "shelley/cache.hpp"
 #include "shelley/checker.hpp"
+#include "support/guard.hpp"
 #include "support/thread_pool.hpp"
 
 namespace shelley::engine {
@@ -78,6 +81,18 @@ void print_usage(std::ostream& out, const std::string& tool);
 [[nodiscard]] std::optional<CliOptions> parse_cli_args(
     int argc, char** argv, const std::string& tool, std::ostream& err,
     bool require_files = true);
+
+/// The resource guards `options` asks for (--max-depth, --max-input-bytes,
+/// --max-states, --timeout-ms); zeros keep the built-in defaults.  Every
+/// front end arms them once per process with a ScopedLimits.
+[[nodiscard]] support::guard::Limits guard_limits(const CliOptions& options);
+
+/// Opens the --cache directory into `cache` when one is given.  On failure
+/// writes "<tool>: <reason>" to `err` and returns false (the caller exits
+/// 2); without a directory it leaves `cache` empty and returns true.
+[[nodiscard]] bool open_cache(const std::optional<std::string>& directory,
+                              std::string_view tool, std::ostream& err,
+                              std::optional<core::BehaviorCache>& cache);
 
 /// Loads every file of `options` into `workspace` with shelleyc's
 /// per-file fault isolation and stderr protocol (the "cannot open"

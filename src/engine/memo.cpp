@@ -11,186 +11,76 @@ namespace {
 // not an allocator ledger.
 constexpr std::uint64_t kEntryOverhead = 128;
 
-std::uint64_t verdict_bytes(const core::CachedVerdict& verdict) {
-  std::uint64_t total = sizeof(core::CachedVerdict) + verdict.class_name.size();
-  for (const core::CachedSubsystemError& error : verdict.subsystem_errors) {
-    total += sizeof(error) + error.field.size() + error.class_name.size() +
-             error.detail.size();
-    for (const std::string& step : error.counterexample) {
-      total += sizeof(step) + step.size();
-    }
-  }
-  for (const core::CachedClaimError& error : verdict.claim_errors) {
-    total += sizeof(error) + error.formula.size();
-    for (const std::string& step : error.counterexample) {
-      total += sizeof(step) + step.size();
-    }
-  }
-  for (const core::CachedDiagnostic& diagnostic : verdict.diagnostics) {
-    total += sizeof(diagnostic) + diagnostic.message.size();
-  }
-  return total;
-}
-
 }  // namespace
 
-template <typename T>
-void MemoTier::store_entry(std::map<support::Digest128, Entry<T>>& entries,
-                           Kind kind, const support::Digest128& key, T value,
-                           std::uint64_t bytes) {
-  bytes += kEntryOverhead;
-  const auto it = entries.find(key);
-  if (it != entries.end()) {
-    stats_.bytes -= it->second.bytes;
-    stats_.bytes += bytes;
-    it->second.value = std::move(value);
-    it->second.bytes = bytes;
-    touch(it->second.lru);
-  } else {
-    lru_.emplace_front(kind, key);
-    entries.emplace(key, Entry<T>{std::move(value), bytes, lru_.begin()});
-    stats_.bytes += bytes;
-  }
-  ++stats_.stores;
-  evict_to_capacity();
-}
-
-template <typename T>
-std::size_t MemoTier::drop_entry(std::map<support::Digest128, Entry<T>>& entries,
-                                 const support::Digest128& key) {
-  const auto it = entries.find(key);
-  if (it == entries.end()) return 0;
-  stats_.bytes -= it->second.bytes;
+void MemoTier::drop(EntryMap::iterator it) {
+  stats_.bytes -= it->second.charge;
   lru_.erase(it->second.lru);
-  entries.erase(it);
-  return 1;
-}
-
-void MemoTier::touch(LruList::iterator it) {
-  lru_.splice(lru_.begin(), lru_, it);
+  entries_.erase(it);
 }
 
 void MemoTier::evict_to_capacity() {
   while (stats_.bytes > capacity_bytes_ && !lru_.empty()) {
-    const auto& [kind, key] = lru_.back();
-    std::size_t dropped = 0;
-    switch (kind) {
-      case Kind::kVerdict:
-        dropped = drop_entry(verdicts_, key);
-        break;
-      case Kind::kDfa:
-        dropped = drop_entry(dfas_, key);
-        break;
-      case Kind::kArtifact:
-        dropped = drop_entry(artifacts_, key);
-        break;
-      case Kind::kTable:
-        dropped = drop_entry(tables_, key);
-        break;
-    }
-    stats_.evictions += dropped;
+    drop(entries_.find(lru_.back()));
+    ++stats_.evictions;
   }
 }
 
-std::optional<core::CachedVerdict> MemoTier::load_verdict(
-    const support::Digest128& key, std::string_view class_name) {
+std::optional<std::string> MemoTier::get(core::CacheKind kind,
+                                         const support::Digest128& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = verdicts_.find(key);
-  // The key embeds the class name (fingerprint.hpp); a mismatch means a
-  // collision, so miss rather than replay a foreign verdict -- the same
-  // rule the disk tier applies.
-  if (it == verdicts_.end() || it->second.value.class_name != class_name) {
+  const auto it = entries_.find(Slot{key, kind});
+  if (it == entries_.end()) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  touch(it->second.lru);
-  return it->second.value;
+  lru_.splice(lru_.begin(), lru_, it->second.lru);
+  return it->second.bytes;
 }
 
-void MemoTier::store_verdict(const support::Digest128& key,
-                             core::CachedVerdict verdict) {
+void MemoTier::put(core::CacheKind kind, const support::Digest128& key,
+                   std::string bytes) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t bytes = verdict_bytes(verdict);
-  store_entry(verdicts_, Kind::kVerdict, key, std::move(verdict), bytes);
-}
-
-std::optional<std::string> MemoTier::load_dfa_bytes(
-    const support::Digest128& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = dfas_.find(key);
-  if (it == dfas_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
+  const std::uint64_t charge = bytes.size() + kEntryOverhead;
+  const auto [it, inserted] = entries_.try_emplace(Slot{key, kind});
+  Entry& entry = it->second;
+  if (inserted) {
+    lru_.emplace_front(it->first);
+    entry.lru = lru_.begin();
+  } else {
+    stats_.bytes -= entry.charge;
+    lru_.splice(lru_.begin(), lru_, entry.lru);
   }
-  ++stats_.hits;
-  touch(it->second.lru);
-  return it->second.value;
+  entry.bytes = std::move(bytes);
+  entry.charge = charge;
+  stats_.bytes += charge;
+  ++stats_.stores;
+  evict_to_capacity();
 }
 
-void MemoTier::store_dfa_bytes(const support::Digest128& key,
-                               std::string bytes) {
+void MemoTier::reject_hit() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t size = bytes.size();
-  store_entry(dfas_, Kind::kDfa, key, std::move(bytes), size);
-}
-
-std::optional<std::string> MemoTier::load_artifact(
-    const support::Digest128& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = artifacts_.find(key);
-  if (it == artifacts_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  touch(it->second.lru);
-  return it->second.value;
-}
-
-void MemoTier::store_artifact(const support::Digest128& key,
-                              std::string artifact) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t size = artifact.size();
-  store_entry(artifacts_, Kind::kArtifact, key, std::move(artifact), size);
-}
-
-std::optional<std::string> MemoTier::load_table_bytes(
-    const support::Digest128& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = tables_.find(key);
-  if (it == tables_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  touch(it->second.lru);
-  return it->second.value;
-}
-
-void MemoTier::store_table_bytes(const support::Digest128& key,
-                                 std::string bytes) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t size = bytes.size();
-  store_entry(tables_, Kind::kTable, key, std::move(bytes), size);
+  --stats_.hits;
+  ++stats_.misses;
 }
 
 std::size_t MemoTier::invalidate(const support::Digest128& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t dropped = drop_entry(verdicts_, key) +
-                              drop_entry(dfas_, key) +
-                              drop_entry(artifacts_, key) +
-                              drop_entry(tables_, key);
+  std::size_t dropped = 0;
+  // Slots order by key first, so every kind under `key` is one run.
+  auto it = entries_.lower_bound(Slot{key, core::CacheKind{}});
+  while (it != entries_.end() && it->first.first == key) {
+    drop(it++);
+    ++dropped;
+  }
   stats_.invalidations += dropped;
   return dropped;
 }
 
 void MemoTier::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  verdicts_.clear();
-  dfas_.clear();
-  artifacts_.clear();
-  tables_.clear();
+  entries_.clear();
   lru_.clear();
   stats_.bytes = 0;
 }

@@ -1,21 +1,20 @@
-// The in-memory memo tier of the query engine: verdicts, behavior DFAs,
-// opaque artifacts, and compiled monitoring tables keyed by the same
-// content-addressed class keys as the on-disk BehaviorCache
-// (shelley/fingerprint.hpp), layered *above* it.
+// The in-memory memo tier of the query engine: a byte store keyed by
+// (kind, content-addressed class key), with the same get/put interface as
+// the on-disk BehaviorCache (shelley/cache.hpp) it is layered *above*.
 //
-// Entries hold exactly the cache encodings (CachedVerdict, the name-keyed
-// DFA bytes of fsm/serialize.hpp, raw artifact bytes), never live automata
-// or symbol ids: the workspace rebuilds its symbol table on every source
-// update, so anything id-bearing would go stale.  Replay goes through
-// Verifier::replay_verdict / fsm::dfa_from_bytes -- the same single code
-// path the disk tier uses -- which is what keeps warm answers byte-
-// identical to cold ones.
+// Entries hold exactly the disk encodings (encode_verdict bytes, compiled
+// table bytes, raw artifact bytes), never live automata or symbol ids: the
+// workspace rebuilds its symbol table on every source update, so anything
+// id-bearing would go stale.  The query engine decodes both tiers through
+// the same codecs, which is what keeps warm answers byte-identical to cold
+// ones.
 //
-// The tier is bounded: every entry carries an approximate byte size, and
-// once the total passes the configured capacity the least-recently-used
-// entries are evicted (loads refresh recency).  Eviction is silent and
-// safe -- the disk tier below still holds the entry -- and is counted
-// separately from invalidation, which is a correctness event.
+// The tier is bounded: every entry is charged its byte size plus a fixed
+// overhead, and once the total passes the configured capacity the
+// least-recently-used entries are evicted (gets refresh recency).
+// Eviction is silent and safe -- the disk tier below still holds the
+// entry -- and is counted separately from invalidation, which is a
+// correctness event.
 //
 // Internally synchronized: the daemon may run queries for several classes
 // concurrently on the shared thread pool, and the socket server shares one
@@ -31,7 +30,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "shelley/cache.hpp"
@@ -54,29 +52,17 @@ class MemoTier {
   /// not primary storage, but single-workspace sessions should never evict.
   static constexpr std::uint64_t kDefaultCapacityBytes = 64ull << 20;
 
-  [[nodiscard]] std::optional<core::CachedVerdict> load_verdict(
-      const support::Digest128& key, std::string_view class_name);
-  void store_verdict(const support::Digest128& key,
-                     core::CachedVerdict verdict);
+  /// The bytes stored under (kind, key), refreshing their recency; a hit.
+  [[nodiscard]] std::optional<std::string> get(core::CacheKind kind,
+                                               const support::Digest128& key);
+  /// Stores (or replaces) the bytes under (kind, key).
+  void put(core::CacheKind kind, const support::Digest128& key,
+           std::string bytes);
+  /// The caller's decoder rejected what the last get() returned: that hit
+  /// counts as a miss instead.
+  void reject_hit();
 
-  /// DFA entries are the name-keyed bytes of fsm/serialize.hpp; the caller
-  /// decodes against its current symbol table.
-  [[nodiscard]] std::optional<std::string> load_dfa_bytes(
-      const support::Digest128& key);
-  void store_dfa_bytes(const support::Digest128& key, std::string bytes);
-
-  [[nodiscard]] std::optional<std::string> load_artifact(
-      const support::Digest128& key);
-  void store_artifact(const support::Digest128& key, std::string artifact);
-
-  /// Compiled monitoring tables, held as their versioned byte encoding
-  /// (fsm/table.hpp); the caller decodes against its current symbol table
-  /// -- the same single decode path as the disk tier.
-  [[nodiscard]] std::optional<std::string> load_table_bytes(
-      const support::Digest128& key);
-  void store_table_bytes(const support::Digest128& key, std::string bytes);
-
-  /// Drops every entry kind stored under `key`; returns how many were
+  /// Drops every kind stored under `key`; returns how many entries were
   /// dropped (counted as invalidations).  The workspace calls this for the
   /// stale keys of exactly the dependency closure of an updated source.
   std::size_t invalidate(const support::Digest128& key);
@@ -90,35 +76,24 @@ class MemoTier {
   [[nodiscard]] MemoStats stats() const;
 
  private:
-  enum class Kind : std::uint8_t { kVerdict, kDfa, kArtifact, kTable };
-  using LruList = std::list<std::pair<Kind, support::Digest128>>;
-
-  template <typename T>
+  using Slot = std::pair<support::Digest128, core::CacheKind>;
+  using LruList = std::list<Slot>;
   struct Entry {
-    T value;
-    std::uint64_t bytes = 0;
+    std::string bytes;
+    std::uint64_t charge = 0;  ///< bytes.size() plus the fixed overhead
     LruList::iterator lru;
   };
+  using EntryMap = std::map<Slot, Entry>;
 
-  // All four require mutex_ held.
-  template <typename T>
-  void store_entry(std::map<support::Digest128, Entry<T>>& entries, Kind kind,
-                   const support::Digest128& key, T value,
-                   std::uint64_t bytes);
-  template <typename T>
-  std::size_t drop_entry(std::map<support::Digest128, Entry<T>>& entries,
-                         const support::Digest128& key);
-  void touch(LruList::iterator it);
+  // Both require mutex_ held.
+  void drop(EntryMap::iterator it);
   void evict_to_capacity();
 
   mutable std::mutex mutex_;
   MemoStats stats_;
   std::uint64_t capacity_bytes_ = kDefaultCapacityBytes;
   LruList lru_;  ///< front = most recently used
-  std::map<support::Digest128, Entry<core::CachedVerdict>> verdicts_;
-  std::map<support::Digest128, Entry<std::string>> dfas_;
-  std::map<support::Digest128, Entry<std::string>> artifacts_;
-  std::map<support::Digest128, Entry<std::string>> tables_;
+  EntryMap entries_;
 };
 
 }  // namespace shelley::engine

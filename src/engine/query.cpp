@@ -2,17 +2,15 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "fsm/ops.hpp"
-#include "fsm/serialize.hpp"
 #include "ltlf/parser.hpp"
 #include "shelley/automata.hpp"
-#include "shelley/monitor.hpp"
 #include "shelley/replay.hpp"
 #include "smv/smv.hpp"
 #include "support/metrics.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace shelley::engine {
@@ -48,38 +46,92 @@ class LatencyProbe {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// What a query's cold path produced: the answer, plus its encoding when
+/// the answer may persist (nullopt keeps it out of every tier).
+template <typename T>
+struct Built {
+  T value;
+  std::optional<std::string> bytes;
+};
+
+void trace_hit(std::string_view tier, core::CacheKind kind,
+               const std::string& class_name) {
+  if (kind == core::CacheKind::kVerdict && support::trace::enabled()) {
+    support::trace::instant(std::string(tier) + class_name);
+  }
+}
+
 }  // namespace
+
+void QueryEngine::count(core::CacheKind kind, bool hit) {
+  const std::lock_guard<std::mutex> lock(stats_mutex_);
+  QueryStats::Counts& counts = stats_[kind];
+  ++(hit ? counts.hits : counts.misses);
+}
+
+/// The one tiering rule: memo, then disk, then `build`.  `decode(bytes)`
+/// turns a tier's bytes into the answer, or returns nullopt to refuse them
+/// (a payload that does not decode, a verdict naming another class): refused
+/// bytes are never replayed, and their tier counts the lookup as a miss
+/// (memo) or an invalidation (disk).  A disk hit is promoted into the memo;
+/// a built answer with bytes is stored in both.
+template <typename T, typename Decode, typename Build>
+T QueryEngine::tiered(core::CacheKind kind, const core::ClassSpec& spec,
+                      Decode&& decode, Build&& build) {
+  const support::Digest128 key = workspace_.verifier().cache_key(spec);
+  if (const auto bytes = memo_.get(kind, key)) {
+    if (std::optional<T> value = decode(*bytes)) {
+      count(kind, true);
+      trace_hit("memo.hit/", kind, spec.name);
+      return *std::move(value);
+    }
+    memo_.reject_hit();
+  }
+  count(kind, false);
+  core::BehaviorCache* cache = workspace_.cache();
+  if (cache != nullptr) {
+    if (auto bytes = cache->get(kind, key)) {
+      if (std::optional<T> value = decode(*bytes)) {
+        trace_hit("cache.hit/", kind, spec.name);
+        memo_.put(kind, key, *std::move(bytes));
+        return *std::move(value);
+      }
+      cache->reject_hit();
+    }
+  }
+  Built<T> built = build();
+  if (built.bytes) {
+    if (cache != nullptr) cache->put(kind, key, *built.bytes);
+    memo_.put(kind, key, *std::move(built.bytes));
+  }
+  return std::move(built.value);
+}
 
 core::ClassReport QueryEngine::report(const core::ClassSpec& spec,
                                       DiagnosticEngine& sink) {
   const LatencyProbe probe("query.report_us");
   core::Verifier& verifier = workspace_.verifier();
-  const support::Digest128 key = verifier.cache_key(spec);
-  if (auto verdict = memo_.load_verdict(key, spec.name)) {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.report_hits;
-    }
-    if (support::trace::enabled()) {
-      support::trace::instant("memo.hit/" + spec.name);
-    }
-    return verifier.replay_verdict(spec, *std::move(verdict), sink);
-  }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.report_misses;
-  }
-  // Fall through to the disk tier (or, without one, the live pipeline);
-  // either way the class's diagnostics land in `sink` starting at
-  // diags_begin, which is exactly the slice capture_verdict stores.
-  const std::size_t diags_begin = sink.diagnostics().size();
-  core::ClassReport result = verifier.verify_or_replay(spec, sink);
-  if (result.resource_errors == 0) {
-    memo_.store_verdict(
-        key, core::capture_verdict(result, sink, diags_begin,
-                                   verifier.symbols()));
-  }
-  return result;
+  return tiered<core::ClassReport>(
+      core::CacheKind::kVerdict, spec,
+      [&](std::string_view bytes) -> std::optional<core::ClassReport> {
+        auto verdict = core::BehaviorCache::decode_verdict(bytes);
+        // The key embeds the class name (fingerprint.hpp), so a verdict
+        // naming another class is a collision or a forgery.
+        if (!verdict || verdict->class_name != spec.name) return std::nullopt;
+        return verifier.replay_verdict(spec, *std::move(verdict), sink);
+      },
+      [&] {
+        // The class's diagnostics land in `sink` from diags_begin on, which
+        // is exactly the slice capture_verdict stores.
+        const std::size_t diags_begin = sink.diagnostics().size();
+        Built<core::ClassReport> built{verifier.verify_spec(spec, sink), {}};
+        if (built.value.resource_errors == 0) {  // aborted, not a result
+          built.bytes = core::BehaviorCache::encode_verdict(
+              core::capture_verdict(built.value, sink, diags_begin,
+                                    verifier.symbols()));
+        }
+        return built;
+      });
 }
 
 core::ClassReport QueryEngine::verify_class(std::string_view name) {
@@ -102,161 +154,70 @@ core::Report QueryEngine::verify_all(std::size_t jobs) {
   // on pool workers parent here via the context ThreadPool::submit carries.
   support::trace::Span span("engine.verify_all");
   span.arg("jobs", static_cast<std::uint64_t>(jobs));
-  core::Verifier& verifier = workspace_.verifier();
-  std::vector<const core::ClassSpec*> work;
-  for (const core::ClassSpec& spec : verifier.classes()) {
-    if (spec.is_system) work.push_back(&spec);
-  }
-
-  core::Report full_report;
-  if (jobs <= 1 || work.size() <= 1) {
-    for (const core::ClassSpec* spec : work) {
-      full_report.classes.push_back(report(*spec, verifier.diagnostics()));
-    }
-    return full_report;
-  }
-
-  // The deterministic-merge protocol of Verifier::verify_all(jobs):
-  // pre-intern every symbol in serial order (ids leak into the output),
-  // verify each class into its own sink, merge in registration order.
-  for (const core::ClassSpec* spec : work) verifier.warm_symbols(*spec);
-
-  std::vector<core::ClassReport> reports(work.size());
-  std::vector<DiagnosticEngine> sinks(work.size());
-  std::vector<std::exception_ptr> errors(work.size());
-  support::parallel_for(work.size(), jobs, [&](std::size_t i) {
-    try {
-      reports[i] = report(*work[i], sinks[i]);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  });
-
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    verifier.diagnostics().append(sinks[i]);
-    if (errors[i]) std::rethrow_exception(errors[i]);
-    full_report.classes.push_back(std::move(reports[i]));
-  }
-  return full_report;
-}
-
-fsm::Dfa QueryEngine::usage_dfa(const core::ClassSpec& spec) {
-  const LatencyProbe probe("query.usage_dfa_us");
-  core::Verifier& verifier = workspace_.verifier();
-  const support::Digest128 key = verifier.cache_key(spec);
-  if (const auto bytes = memo_.load_dfa_bytes(key)) {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.dfa_hits;
-    }
-    return fsm::dfa_from_bytes(*bytes, verifier.symbols());
-  }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.dfa_misses;
-  }
-  core::BehaviorCache* cache = workspace_.cache();
-  if (cache != nullptr) {
-    if (auto dfa = cache->load_dfa(key, verifier.symbols())) {
-      memo_.store_dfa_bytes(key,
-                            fsm::dfa_to_bytes(*dfa, verifier.symbols()));
-      return *std::move(dfa);
-    }
-  }
-  // Build through the Monitor constructor -- the same
-  // usage_nfa/determinize/minimize pipeline --monitor runs cold.
-  const core::Monitor monitor(spec, verifier.symbols());
-  fsm::Dfa dfa = monitor.dfa();
-  if (cache != nullptr) cache->store_dfa(key, dfa, verifier.symbols());
-  memo_.store_dfa_bytes(key, fsm::dfa_to_bytes(dfa, verifier.symbols()));
-  return dfa;
+  return workspace_.verifier().verify_all(
+      jobs, [this](const core::ClassSpec& spec, DiagnosticEngine& sink) {
+        return report(spec, sink);
+      });
 }
 
 fsm::CompiledDfa QueryEngine::compiled_table(const core::ClassSpec& spec) {
   const LatencyProbe probe("query.compiled_table_us");
-  core::Verifier& verifier = workspace_.verifier();
-  const support::Digest128 key = verifier.cache_key(spec);
-  if (const auto bytes = memo_.load_table_bytes(key)) {
-    try {
-      fsm::CompiledDfa compiled =
-          fsm::CompiledDfa::from_bytes(*bytes, verifier.symbols());
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.table_hits;
-      return compiled;
-    } catch (const support::BinaryFormatError&) {
-      // The memo holds exactly what we encoded, so this cannot happen short
-      // of a format-version bump mid-process; degrade to a miss.
-    }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.table_misses;
-  }
-  core::BehaviorCache* cache = workspace_.cache();
-  if (cache != nullptr) {
-    if (auto compiled = cache->load_table(key, verifier.symbols())) {
-      memo_.store_table_bytes(key, compiled->to_bytes());
-      return *std::move(compiled);
-    }
-  }
-  // Cold: compile from the usage DFA, which runs its own memo/disk tiering.
-  const fsm::CompiledDfa compiled =
-      fsm::CompiledDfa::compile(usage_dfa(spec), verifier.symbols());
-  if (cache != nullptr) cache->store_table(key, compiled);
-  memo_.store_table_bytes(key, compiled.to_bytes());
-  return compiled;
+  SymbolTable& symbols = workspace_.verifier().symbols();
+  return tiered<fsm::CompiledDfa>(
+      core::CacheKind::kTable, spec,
+      [&](std::string_view bytes) -> std::optional<fsm::CompiledDfa> {
+        try {
+          return fsm::CompiledDfa::from_bytes(bytes, symbols);
+        } catch (const std::exception&) {
+          return std::nullopt;  // e.g. table-format version skew
+        }
+      },
+      [&] {
+        Built<fsm::CompiledDfa> built{
+            fsm::CompiledDfa::compile(
+                fsm::minimize(
+                    fsm::determinize(core::usage_nfa(spec, symbols))),
+                symbols),
+            {}};
+        built.bytes = built.value.to_bytes();
+        return built;
+      });
 }
 
 SmvArtifact QueryEngine::smv_model(const core::ClassSpec& spec) {
   const LatencyProbe probe("query.smv_model_us");
   core::Verifier& verifier = workspace_.verifier();
-  const support::Digest128 key = verifier.cache_key(spec);
-  if (const auto artifact = memo_.load_artifact(key)) {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.artifact_hits;
-    }
-    return SmvArtifact{*artifact, {}};
-  }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.artifact_misses;
-  }
-  core::BehaviorCache* cache = workspace_.cache();
-  if (cache != nullptr) {
-    if (const auto artifact = cache->load_artifact(key)) {
-      memo_.store_artifact(key, *artifact);
-      return SmvArtifact{*artifact, {}};
-    }
-  }
-
-  const auto behaviors = core::extract_behaviors(spec, verifier.symbols(),
-                                                 verifier.diagnostics());
-  const core::SystemModel model = core::build_system_model(
-      spec, behaviors, verifier.symbols(), verifier.diagnostics());
-  const fsm::Dfa dfa =
-      fsm::minimize(fsm::determinize(model.nfa, model.full_alphabet()));
-  smv::SmvModel smv_model =
-      smv::from_dfa(dfa, verifier.symbols(), spec.name);
-  SmvArtifact artifact;
-  for (const core::Claim& claim : spec.claims) {
-    try {
-      smv::add_ltlspec(
-          smv_model,
-          ltlf::parse(claim.text, verifier.symbols(), claim.loc),
-          verifier.symbols());
-    } catch (const ParseError&) {
-      artifact.skipped_claims.push_back(claim.text);
-    }
-  }
-  artifact.text = smv::emit(smv_model);
-  // A model with skipped claims is incomplete; never memoize it in any
-  // tier, so the caller's skip notice reprints on every run.
-  if (artifact.skipped_claims.empty()) {
-    if (cache != nullptr) cache->store_artifact(key, artifact.text);
-    memo_.store_artifact(key, artifact.text);
-  }
-  return artifact;
+  return tiered<SmvArtifact>(
+      core::CacheKind::kArtifact, spec,
+      [](std::string_view bytes) {
+        return std::optional<SmvArtifact>(SmvArtifact{std::string(bytes), {}});
+      },
+      [&] {
+        const auto behaviors = core::extract_behaviors(
+            spec, verifier.symbols(), verifier.diagnostics());
+        const core::SystemModel model = core::build_system_model(
+            spec, behaviors, verifier.symbols(), verifier.diagnostics());
+        const fsm::Dfa dfa =
+            fsm::minimize(fsm::determinize(model.nfa, model.full_alphabet()));
+        smv::SmvModel smv_model =
+            smv::from_dfa(dfa, verifier.symbols(), spec.name);
+        Built<SmvArtifact> built;
+        for (const core::Claim& claim : spec.claims) {
+          try {
+            smv::add_ltlspec(
+                smv_model,
+                ltlf::parse(claim.text, verifier.symbols(), claim.loc),
+                verifier.symbols());
+          } catch (const ParseError&) {
+            built.value.skipped_claims.push_back(claim.text);
+          }
+        }
+        built.value.text = smv::emit(smv_model);
+        // A model with skipped claims is incomplete; never memoize it in any
+        // tier, so the caller's skip notice reprints on every run.
+        if (built.value.skipped_claims.empty()) built.bytes = built.value.text;
+        return built;
+      });
 }
 
 std::size_t QueryEngine::apply_update(const UpdateResult& update) {

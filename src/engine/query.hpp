@@ -1,19 +1,21 @@
 // The demand-driven query layer: every pipeline product -- a class's
-// verification report, its minimal usage DFA, its NuSMV model -- is an
-// individually memoized query over the Workspace, keyed by the class's
+// verification report, its compiled monitoring table, its NuSMV model -- is
+// an individually memoized query over the Workspace, keyed by the class's
 // content-addressed fingerprint.
 //
-// Answer order for every query: in-memory memo tier, then the on-disk
-// BehaviorCache (when one is attached to the workspace), then the real
-// pipeline -- and a lower-tier answer is promoted into the tiers above it.
-// Replay always goes through the one proven code path
-// (Verifier::replay_verdict / fsm::dfa_from_bytes), so a warm answer is
+// Every query runs the one tiering rule (tiered() in query.cpp): the
+// in-memory memo tier, then the on-disk BehaviorCache (when one is
+// attached to the workspace), then the real pipeline; a lower-tier answer
+// is promoted into the memo.  Both tiers are byte stores holding the same
+// encodings, and every answer is decoded through the one proven codec
+// (Verifier::replay_verdict / CompiledDfa::from_bytes), so a warm answer is
 // byte-identical to a cold run.  After Workspace::update_source, the
 // caller drops exactly the stale keys (MemoTier::invalidate); everything
 // outside the edit's dependency closure keeps its entries and keeps
 // hitting.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -22,23 +24,35 @@
 
 #include "engine/memo.hpp"
 #include "engine/workspace.hpp"
-#include "fsm/dfa.hpp"
 #include "fsm/table.hpp"
 
 namespace shelley::engine {
 
-/// Per-query-kind counters; the invalidation tests assert closure
-/// precision through these (an update must turn exactly the closure's
-/// next lookups into misses).
+/// Memo-tier counters per query kind; the invalidation tests assert closure
+/// precision through these (an update must turn exactly the closure's next
+/// lookups into misses).  A lookup the memo answers is a hit; one that
+/// falls through to the disk tier or the pipeline is a miss.
 struct QueryStats {
-  std::uint64_t report_hits = 0;    ///< report() answered from the memo
-  std::uint64_t report_misses = 0;  ///< fell through to disk or pipeline
-  std::uint64_t dfa_hits = 0;
-  std::uint64_t dfa_misses = 0;
-  std::uint64_t artifact_hits = 0;
-  std::uint64_t artifact_misses = 0;
-  std::uint64_t table_hits = 0;    ///< compiled_table() answered from memo
-  std::uint64_t table_misses = 0;
+  struct Counts {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+  /// Verdicts (report), artifacts (smv_model), tables (compiled_table).
+  std::array<Counts, 3> kinds;
+
+  [[nodiscard]] Counts& operator[](core::CacheKind kind) {
+    return kinds[slot(kind)];
+  }
+  [[nodiscard]] const Counts& operator[](core::CacheKind kind) const {
+    return kinds[slot(kind)];
+  }
+
+ private:
+  static std::size_t slot(core::CacheKind kind) {
+    return kind == core::CacheKind::kVerdict    ? 0
+           : kind == core::CacheKind::kArtifact ? 1
+                                                : 2;
+  }
 };
 
 /// A built (or replayed) NuSMV model plus the claims that had to be
@@ -66,10 +80,10 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// The verification report of one registered class, with its
-  /// diagnostics appended to `sink`.  Memo hit -> replay; miss -> the
-  /// workspace verifier's cache-or-verify path, captured into the memo
-  /// (unless a resource limit aborted the class -- an aborted run is not
-  /// a result).
+  /// diagnostics appended to `sink`: a tier hit replays the stored
+  /// verdict, a miss runs Verifier::verify_spec and stores the captured
+  /// verdict (unless a resource limit aborted the class -- an aborted run
+  /// is not a result).
   [[nodiscard]] core::ClassReport report(const core::ClassSpec& spec,
                                          DiagnosticEngine& sink);
 
@@ -79,24 +93,16 @@ class QueryEngine {
   [[nodiscard]] core::ClassReport verify_class(std::string_view name);
 
   /// Verifies every registered @sys class through report(), on up to
-  /// `jobs` workers (1 = serial).  The deterministic-merge protocol of
-  /// Verifier::verify_all(jobs) is reproduced exactly: symbols pre-warmed
-  /// in serial order, per-class sinks, merge in registration order.
+  /// `jobs` workers (1 = serial), by Verifier::verify_all's deterministic
+  /// merge.
   [[nodiscard]] core::Report verify_all(std::size_t jobs);
-
-  /// The minimal valid-usage DFA of one class (what --monitor walks).
-  /// Memoized as name-keyed serialized bytes so replay survives workspace
-  /// rebuilds; promoted from / stored to the disk tier when attached.
-  [[nodiscard]] fsm::Dfa usage_dfa(const core::ClassSpec& spec);
 
   /// The emitted NuSMV model of one class (what --smv prints).
   [[nodiscard]] SmvArtifact smv_model(const core::ClassSpec& spec);
 
-  /// The compiled monitoring table of one class (fsm/table.hpp) -- what the
-  /// streaming monitor walks.  Memoized as its versioned byte encoding;
-  /// promoted from / stored to the disk tier when attached.  The cold path
-  /// compiles from usage_dfa(), so a warm DFA entry still short-circuits
-  /// most of the pipeline.
+  /// The compiled monitoring table of one class (fsm/table.hpp) -- what
+  /// every monitor walks (shelleyc --monitor, shelley-monitor, the daemon's
+  /// monitor command).  Cold, it compiles the minimal usage DFA.
   [[nodiscard]] fsm::CompiledDfa compiled_table(const core::ClassSpec& spec);
 
   /// Drops every memo entry under `key` (all query kinds).  Returns how
@@ -114,6 +120,11 @@ class QueryEngine {
   [[nodiscard]] QueryStats stats() const;
 
  private:
+  template <typename T, typename Decode, typename Build>
+  T tiered(core::CacheKind kind, const core::ClassSpec& spec,
+           Decode&& decode, Build&& build);
+  void count(core::CacheKind kind, bool hit);
+
   Workspace& workspace_;
   MemoTier owned_memo_;  ///< backing store when no shared tier was given
   MemoTier& memo_;

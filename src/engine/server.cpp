@@ -291,26 +291,10 @@ void SocketServer::shutdown_all() {
 int run_server(const CliOptions& options, std::ostream& err) {
   // One set of process-wide resource guards, exactly like run_daemon
   // (they are global, so per-session arming would race).
-  support::guard::Limits limits;
-  if (options.max_depth > 0) {
-    limits.max_recursion_depth = options.max_depth;
-  }
-  if (options.max_input_bytes > 0) {
-    limits.max_input_bytes = options.max_input_bytes;
-  }
-  limits.max_states = options.max_states;
-  limits.timeout_ms = options.timeout_ms;
-  support::guard::ScopedLimits guard(limits);
+  support::guard::ScopedLimits guard(guard_limits(options));
 
   std::optional<core::BehaviorCache> cache;
-  if (options.cache_dir) {
-    try {
-      cache.emplace(*options.cache_dir);
-    } catch (const std::exception& error) {
-      err << "shelleyd: " << error.what() << "\n";
-      return 2;
-    }
-  }
+  if (!open_cache(options.cache_dir, "shelleyd", err, cache)) return 2;
   SocketServer::Options server_options;
   server_options.socket_path = *options.socket_path;
   server_options.max_inflight = options.max_inflight;

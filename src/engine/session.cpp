@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "engine/render.hpp"
@@ -256,19 +257,17 @@ struct SessionAccess {
                     "cannot open event file '" + file->as_string() + "'");
         return;
       }
-      std::stringstream buffer;
-      buffer << input.rdbuf();
-      std::string bytes = buffer.str();
       const JsonValue* format = request.find("format");
       if (format != nullptr && format->as_string() == "binary") {
-        const std::size_t consumed =
-            monitor::ingest_binary_stream(checker, bytes);
-        if (consumed != bytes.size()) {
+        if (!monitor::pump(input, false, [&](std::string_view buffer) {
+              return monitor::ingest_binary_stream(checker, buffer);
+            })) {
           throw support::BinaryFormatError("event file ends mid-frame");
         }
       } else {
-        if (!bytes.empty() && bytes.back() != '\n') bytes.push_back('\n');
-        checker.ingest_ndjson(bytes);
+        monitor::pump(input, true, [&](std::string_view buffer) {
+          return checker.ingest_ndjson(buffer);
+        });
       }
     } else {
       write_error(writer, "monitor needs \"events\", \"ndjson\", or \"file\"");
@@ -335,14 +334,13 @@ struct SessionAccess {
     writer.end_object();
     const QueryStats queries = session.engine_.stats();
     writer.key("queries").begin_object();
-    writer.key("report_hits").value(queries.report_hits);
-    writer.key("report_misses").value(queries.report_misses);
-    writer.key("dfa_hits").value(queries.dfa_hits);
-    writer.key("dfa_misses").value(queries.dfa_misses);
-    writer.key("artifact_hits").value(queries.artifact_hits);
-    writer.key("artifact_misses").value(queries.artifact_misses);
-    writer.key("table_hits").value(queries.table_hits);
-    writer.key("table_misses").value(queries.table_misses);
+    for (const auto& [kind, name] :
+         {std::pair{core::CacheKind::kVerdict, "report"},
+          std::pair{core::CacheKind::kArtifact, "artifact"},
+          std::pair{core::CacheKind::kTable, "table"}}) {
+      writer.key(std::string(name) + "_hits").value(queries[kind].hits);
+      writer.key(std::string(name) + "_misses").value(queries[kind].misses);
+    }
     writer.end_object();
     const ParseStats parses = session.workspace_.parse_stats();
     writer.key("parse").begin_object();

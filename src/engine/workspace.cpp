@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -25,10 +26,7 @@ void Workspace::set_check_options(const core::CheckOptions& options) {
   verifier_->set_check_options(options);
 }
 
-void Workspace::set_cache(core::BehaviorCache* cache) {
-  cache_ = cache;
-  verifier_->set_cache(cache);
-}
+void Workspace::set_cache(core::BehaviorCache* cache) { cache_ = cache; }
 
 const core::FileSummary& Workspace::load_file(const std::string& path) {
   SourceFile source;
@@ -239,7 +237,6 @@ void Workspace::rebuild() {
   verifier_ = std::make_unique<core::Verifier>();
   verifier_->set_lint_options(lint_options_);
   verifier_->set_check_options(check_options_);
-  verifier_->set_cache(cache_);
   summaries_.clear();
   summaries_.reserve(sources_.size());
   file_diag_ranges_.clear();
@@ -252,6 +249,13 @@ void Workspace::rebuild() {
         diags_before, verifier_->diagnostics().diagnostics().size());
   }
   load_diag_end_ = verifier_->diagnostics().diagnostics().size();
+
+  std::set<support::Digest128> held;
+  for (const SourceFile& source : sources_) {
+    if (source.text) held.insert(source.content_key);
+  }
+  std::erase_if(parse_memo_,
+                [&](const auto& entry) { return !held.contains(entry.first); });
 }
 
 }  // namespace shelley::engine

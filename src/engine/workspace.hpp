@@ -7,7 +7,9 @@
 // rebuilds the verifier from the (updated) source list -- parsing is
 // memoized by content, so an update re-parses only the file that changed,
 // and the rebuild resets the symbol table so every downstream answer is
-// byte-identical to a cold run over the new sources.  update_source
+// byte-identical to a cold run over the new sources.  The parse memo holds
+// only texts some registered file still has: each rebuild drops the rest,
+// so a long editing session does not keep every revision's AST.  update_source
 // reports exactly which classes' content-addressed keys changed (the
 // dependency closure of the edit: the class itself plus every composite
 // whose key folds it in, cycles included), so the query engine can drop
@@ -59,8 +61,8 @@ class Workspace {
   /// subsequently (re)built verifier.
   void set_check_options(const core::CheckOptions& options);
 
-  /// Installs the on-disk behavior cache tier (not owned; nullptr
-  /// detaches).  Survives rebuilds.
+  /// Attaches the on-disk behavior cache tier the query engine consults
+  /// below its memo (not owned; nullptr detaches).  Survives rebuilds.
   void set_cache(core::BehaviorCache* cache);
   [[nodiscard]] core::BehaviorCache* cache() const { return cache_; }
 
@@ -153,7 +155,8 @@ class Workspace {
   const ParseResult& lookup_or_parse(const SourceFile& file);
 
   /// Tears down and reloads the verifier over sources_ (parse memo makes
-  /// unchanged files cheap), refreshing summaries_ and load_diag_end_.
+  /// unchanged files cheap), refreshing summaries_ and load_diag_end_, then
+  /// drops every parse no registered file holds any more.
   void rebuild();
 
   std::unique_ptr<core::Verifier> verifier_;

@@ -9,8 +9,8 @@ namespace shelley::fsm {
 
 namespace {
 
-// Same plausibility caps as fsm/serialize.cpp: a corrupted size field must
-// fail bounds checks before it can allocate gigabytes.
+// Plausibility caps: a corrupted size field must fail bounds checks before
+// it can allocate gigabytes.
 constexpr std::uint64_t kMaxStates = 1u << 24;
 constexpr std::uint64_t kMaxAlphabet = 1u << 20;
 

@@ -4,11 +4,11 @@
 // and a letter-id event alphabet.  One step() is one bounded load; the
 // letter ids double as the wire event ids of the streaming monitor.
 //
-// The compiled form is a cacheable artifact: serialize()/deserialize()
-// define a versioned byte format (stored under its own BehaviorCache kind,
-// keyed by the class fingerprint) with the same corruption discipline as
-// fsm/serialize.hpp -- any truncation or bit flip decodes to a structured
-// BinaryFormatError, never UB.
+// The compiled form is the one cached monitor artifact: serialize()/
+// deserialize() define a versioned byte format (stored under its own
+// BehaviorCache kind, keyed by the class fingerprint) in which any
+// truncation or bit flip decodes to a structured BinaryFormatError, never
+// UB.
 #pragma once
 
 #include <cstdint>

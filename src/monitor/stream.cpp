@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <istream>
 #include <optional>
 #include <utility>
 
@@ -159,19 +160,19 @@ void StreamChecker::ingest_binary(std::string_view body) {
   if (device_count > kMaxFrameNames) {
     throw support::BinaryFormatError("event frame device count implausible");
   }
-  std::vector<std::uint32_t> frame_devices;
-  frame_devices.reserve(device_count);
+  std::vector<std::string_view> device_names;
+  device_names.reserve(device_count);
   for (std::uint64_t i = 0; i < device_count; ++i) {
-    frame_devices.push_back(intern_device(reader.str()));
+    device_names.push_back(reader.str_view());
   }
   const std::uint64_t op_count = reader.u64();
   if (op_count > kMaxFrameNames) {
     throw support::BinaryFormatError("event frame op count implausible");
   }
-  std::vector<std::uint32_t> frame_ops;
-  frame_ops.reserve(op_count);
+  std::vector<std::string_view> op_names;
+  op_names.reserve(op_count);
   for (std::uint64_t i = 0; i < op_count; ++i) {
-    frame_ops.push_back(intern_batch_op(reader.str()));
+    op_names.push_back(reader.str_view());
   }
   const std::uint64_t event_count = reader.u64();
   if (event_count > kMaxFrameEvents) {
@@ -179,13 +180,23 @@ void StreamChecker::ingest_binary(std::string_view body) {
   }
   const std::string_view cells = reader.raw(event_count * 8);
   reader.expect_end();
-  // Validate every record before routing the first one, so a malformed
-  // frame checks nothing.
+  // Validate every record before interning a name or routing an event, so
+  // a malformed frame checks nothing and registers no device.
   for (std::uint64_t i = 0; i < event_count; ++i) {
     if (read_u32_le(cells.data() + i * 8) >= device_count ||
         read_u32_le(cells.data() + i * 8 + 4) >= op_count) {
       throw support::BinaryFormatError("event frame index out of range");
     }
+  }
+  std::vector<std::uint32_t> frame_devices;
+  frame_devices.reserve(device_count);
+  for (const std::string_view name : device_names) {
+    frame_devices.push_back(intern_device(name));
+  }
+  std::vector<std::uint32_t> frame_ops;
+  frame_ops.reserve(op_count);
+  for (const std::string_view name : op_names) {
+    frame_ops.push_back(intern_batch_op(name));
   }
   for (std::uint64_t i = 0; i < event_count; ++i) {
     route(frame_devices[read_u32_le(cells.data() + i * 8)],
@@ -340,6 +351,24 @@ std::size_t ingest_binary_stream(StreamChecker& checker,
     consumed += 12 + static_cast<std::size_t>(body_size);
   }
   return consumed;
+}
+
+bool pump(std::istream& in, bool lines,
+          const std::function<std::size_t(std::string_view)>& consume) {
+  std::string pending;
+  std::string chunk(1 << 20, '\0');
+  while (in) {
+    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    const std::streamsize got = in.gcount();
+    if (got <= 0) break;
+    const std::string_view fresh(chunk.data(), static_cast<std::size_t>(got));
+    pending.append(fresh);
+    if (lines && fresh.find('\n') == std::string_view::npos) continue;
+    pending.erase(0, consume(std::string_view(pending)));
+  }
+  if (lines && !pending.empty()) pending.push_back('\n');
+  pending.erase(0, consume(std::string_view(pending)));
+  return pending.empty();
 }
 
 std::string encode_binary_frame(

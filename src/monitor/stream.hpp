@@ -34,6 +34,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -227,6 +229,17 @@ class StreamChecker {
 /// bad magic, an implausible size, or a malformed frame body.
 std::size_t ingest_binary_stream(StreamChecker& checker,
                                  std::string_view buffer);
+
+/// The chunked reader every event-stream front end shares (shelley-monitor,
+/// the daemon's monitor "file" form): streams `in` through
+/// `consume(buffer)` in 1 MiB reads, where `consume` returns the bytes it
+/// used and the rest is carried into the next read.  With `lines`, a read
+/// that adds no '\n' does not call `consume`, so a long line is searched
+/// once, not once per read, and an unterminated last line gets its '\n' at
+/// end of input.  Returns whether every byte was used (false: the stream
+/// ends mid-frame).
+bool pump(std::istream& in, bool lines,
+          const std::function<std::size_t(std::string_view)>& consume);
 
 /// Encodes one SMEV frame (prefix included) from parallel device/op index
 /// arrays -- the writer half of the wire format, used by the CLI's

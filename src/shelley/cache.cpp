@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "fsm/serialize.hpp"
 #include "support/binary.hpp"
 #include "support/metrics.hpp"
 
@@ -19,15 +18,13 @@ constexpr char kMagic[4] = {'S', 'H', 'L', 'C'};
 // digest check rejects them.
 constexpr std::uint64_t kMaxReasonableCount = 1u << 24;
 
-const char* kind_suffix(BehaviorCache::Kind kind) {
+const char* kind_suffix(CacheKind kind) {
   switch (kind) {
-    case BehaviorCache::Kind::kVerdict:
+    case CacheKind::kVerdict:
       return "v";
-    case BehaviorCache::Kind::kDfa:
-      return "dfa";
-    case BehaviorCache::Kind::kArtifact:
+    case CacheKind::kArtifact:
       return "art";
-    case BehaviorCache::Kind::kTable:
+    case CacheKind::kTable:
       return "tbl";
   }
   return "unknown";
@@ -76,13 +73,14 @@ BehaviorCache::BehaviorCache(std::string directory)
 }
 
 std::string BehaviorCache::entry_path(const support::Digest128& key,
-                                      Kind kind) const {
+                                      CacheKind kind) const {
   return directory_ + "/" + support::to_hex(key) + "." + kind_suffix(kind) +
          ".shc";
 }
 
 std::string BehaviorCache::encode_file(const support::Digest128& key,
-                                       Kind kind, std::string_view payload) {
+                                       CacheKind kind,
+                                       std::string_view payload) {
   support::BinaryWriter writer;
   writer.raw(std::string_view(kMagic, sizeof(kMagic)));
   writer.u32(kCacheFormatVersion);
@@ -95,7 +93,7 @@ std::string BehaviorCache::encode_file(const support::Digest128& key,
 
 std::optional<std::string> BehaviorCache::decode_file(
     std::string_view bytes, const support::Digest128& expected_key,
-    Kind expected_kind) {
+    CacheKind expected_kind) {
   try {
     support::BinaryReader reader(bytes);
     const std::string_view magic = reader.raw(sizeof(kMagic));
@@ -198,8 +196,8 @@ std::optional<CachedVerdict> BehaviorCache::decode_verdict(
   }
 }
 
-std::optional<std::string> BehaviorCache::load_payload(
-    const support::Digest128& key, Kind kind) {
+std::optional<std::string> BehaviorCache::get(CacheKind kind,
+                                              const support::Digest128& key) {
   const std::string path = entry_path(key, kind);
   std::ifstream file(path, std::ios::binary);
   if (!file) {
@@ -222,8 +220,8 @@ std::optional<std::string> BehaviorCache::load_payload(
   return payload;
 }
 
-bool BehaviorCache::store_payload(const support::Digest128& key, Kind kind,
-                                  std::string_view payload) {
+bool BehaviorCache::put(CacheKind kind, const support::Digest128& key,
+                        std::string_view payload) {
   const std::string path = entry_path(key, kind);
   const std::string temp =
       path + ".tmp" +
@@ -252,74 +250,10 @@ bool BehaviorCache::store_payload(const support::Digest128& key, Kind kind,
   return true;
 }
 
-std::optional<CachedVerdict> BehaviorCache::load_verdict(
-    const support::Digest128& key) {
-  const auto payload = load_payload(key, Kind::kVerdict);
-  if (!payload) return std::nullopt;
-  auto verdict = decode_verdict(*payload);
-  if (!verdict) {
-    // The framing verified but the payload does not parse: count the hit
-    // back out as an invalidation.
-    hits_.fetch_sub(1, std::memory_order_relaxed);
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    support::metrics::counter("cache.invalidated").add();
-  }
-  return verdict;
-}
-
-bool BehaviorCache::store_verdict(const support::Digest128& key,
-                                  const CachedVerdict& verdict) {
-  return store_payload(key, Kind::kVerdict, encode_verdict(verdict));
-}
-
-std::optional<fsm::Dfa> BehaviorCache::load_dfa(const support::Digest128& key,
-                                                SymbolTable& table) {
-  const auto payload = load_payload(key, Kind::kDfa);
-  if (!payload) return std::nullopt;
-  try {
-    return fsm::dfa_from_bytes(*payload, table);
-  } catch (const std::exception&) {
-    hits_.fetch_sub(1, std::memory_order_relaxed);
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    support::metrics::counter("cache.invalidated").add();
-    return std::nullopt;
-  }
-}
-
-bool BehaviorCache::store_dfa(const support::Digest128& key,
-                              const fsm::Dfa& dfa, const SymbolTable& table) {
-  return store_payload(key, Kind::kDfa, fsm::dfa_to_bytes(dfa, table));
-}
-
-std::optional<std::string> BehaviorCache::load_artifact(
-    const support::Digest128& key) {
-  return load_payload(key, Kind::kArtifact);
-}
-
-bool BehaviorCache::store_artifact(const support::Digest128& key,
-                                   std::string_view artifact) {
-  return store_payload(key, Kind::kArtifact, artifact);
-}
-
-std::optional<fsm::CompiledDfa> BehaviorCache::load_table(
-    const support::Digest128& key, SymbolTable& table) {
-  const auto payload = load_payload(key, Kind::kTable);
-  if (!payload) return std::nullopt;
-  try {
-    return fsm::CompiledDfa::from_bytes(*payload, table);
-  } catch (const std::exception&) {
-    // Framing verified but the payload does not decode (e.g. table-format
-    // version skew): count the hit back out as an invalidation.
-    hits_.fetch_sub(1, std::memory_order_relaxed);
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    support::metrics::counter("cache.invalidated").add();
-    return std::nullopt;
-  }
-}
-
-bool BehaviorCache::store_table(const support::Digest128& key,
-                                const fsm::CompiledDfa& compiled) {
-  return store_payload(key, Kind::kTable, compiled.to_bytes());
+void BehaviorCache::reject_hit() {
+  hits_.fetch_sub(1, std::memory_order_relaxed);
+  invalidations_.fetch_add(1, std::memory_order_relaxed);
+  support::metrics::counter("cache.invalidated").add();
 }
 
 CacheStats BehaviorCache::stats() const {

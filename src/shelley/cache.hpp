@@ -13,17 +13,19 @@
 // renamed file -- is counted as an invalidation and degrades to a miss,
 // never a crash and never a stale hit.
 //
-// Four entry kinds:
-//   * verdict  -- a class's full verification outcome (report counters,
-//                 subsystem/claim errors with counterexamples as symbol
-//                 NAMES, and the diagnostics verification emitted), enough
-//                 to replay verify_spec byte-for-byte;
-//   * dfa      -- a behavior DFA (fsm/serialize.hpp round-trip), used to
-//                 skip usage-automaton construction in monitor mode;
+// The cache is a byte store: get(kind, key) / put(kind, key, bytes), the
+// same interface as the query engine's in-memory MemoTier above it.  The
+// payload codecs live with their types, and the one tiering path
+// (engine/query.cpp) decodes:
+//   * verdict  -- encode_verdict/decode_verdict below: a class's full
+//                 verification outcome (report counters, subsystem/claim
+//                 errors with counterexamples as symbol NAMES, and the
+//                 diagnostics verification emitted), enough to replay
+//                 verify_spec byte-for-byte;
 //   * artifact -- opaque output bytes (e.g. the emitted SMV model), keyed
 //                 by the same dependency-closure class key;
-//   * table    -- a compiled monitoring table (fsm/table.hpp), the
-//                 streaming monitor's warm-start artifact.
+//   * table    -- a compiled monitoring table (fsm/table.hpp to_bytes /
+//                 from_bytes), what every monitor walks.
 //
 // Verdicts for classes that hit a resource limit (timeout, state budget)
 // are never stored: an aborted run is not a result.
@@ -36,8 +38,6 @@
 #include <string_view>
 #include <vector>
 
-#include "fsm/dfa.hpp"
-#include "fsm/table.hpp"
 #include "support/diagnostics.hpp"
 #include "support/hash.hpp"
 #include "support/symbol.hpp"
@@ -79,6 +79,14 @@ struct CachedVerdict {
   std::vector<CachedDiagnostic> diagnostics;
 };
 
+/// What an entry holds.  The values are the kind byte of the on-disk
+/// framing (2 was a behavior-DFA kind, since retired).
+enum class CacheKind : std::uint8_t {
+  kVerdict = 1,
+  kArtifact = 3,
+  kTable = 4,
+};
+
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;          ///< entry absent
@@ -89,58 +97,44 @@ struct CacheStats {
 
 class BehaviorCache {
  public:
-  enum class Kind : std::uint8_t {
-    kVerdict = 1,
-    kDfa = 2,
-    kArtifact = 3,
-    kTable = 4,
-  };
-
   /// Opens (and creates, if needed) the cache directory.  Throws
   /// std::runtime_error when the directory cannot be created.
   explicit BehaviorCache(std::string directory);
 
   [[nodiscard]] const std::string& directory() const { return directory_; }
 
-  [[nodiscard]] std::optional<CachedVerdict> load_verdict(
-      const support::Digest128& key);
-  bool store_verdict(const support::Digest128& key,
-                     const CachedVerdict& verdict);
-
-  [[nodiscard]] std::optional<fsm::Dfa> load_dfa(
-      const support::Digest128& key, SymbolTable& table);
-  bool store_dfa(const support::Digest128& key, const fsm::Dfa& dfa,
-                 const SymbolTable& table);
-
-  [[nodiscard]] std::optional<std::string> load_artifact(
-      const support::Digest128& key);
-  bool store_artifact(const support::Digest128& key,
-                      std::string_view artifact);
-
-  [[nodiscard]] std::optional<fsm::CompiledDfa> load_table(
-      const support::Digest128& key, SymbolTable& table);
-  bool store_table(const support::Digest128& key,
-                   const fsm::CompiledDfa& compiled);
+  /// The payload stored under (kind, key) when its framing checks out; a
+  /// hit.  nullopt is a miss (no entry) or an invalidation (a rejected
+  /// entry).
+  [[nodiscard]] std::optional<std::string> get(CacheKind kind,
+                                               const support::Digest128& key);
+  /// Stores `bytes` under (kind, key); false (counted) on an I/O error.
+  bool put(CacheKind kind, const support::Digest128& key,
+           std::string_view bytes);
+  /// The caller's decoder rejected what the last get() returned (the
+  /// framing checks out but the payload does not decode): that hit counts
+  /// as an invalidation instead.
+  void reject_hit();
 
   /// A consistent snapshot of the counters (safe while workers run).
   [[nodiscard]] CacheStats stats() const;
 
   /// The file path an entry would use (exposed for tests).
   [[nodiscard]] std::string entry_path(const support::Digest128& key,
-                                       Kind kind) const;
+                                       CacheKind kind) const;
 
   // -- Stateless encode/decode, exposed for tests and the fuzz harness. ----
 
   /// Wraps `payload` in the framing described above.
   [[nodiscard]] static std::string encode_file(const support::Digest128& key,
-                                               Kind kind,
+                                               CacheKind kind,
                                                std::string_view payload);
 
   /// Unwraps a file image; nullopt on any framing violation or when the
   /// embedded key/kind disagree with the expected ones.
   [[nodiscard]] static std::optional<std::string> decode_file(
       std::string_view bytes, const support::Digest128& expected_key,
-      Kind expected_kind);
+      CacheKind expected_kind);
 
   [[nodiscard]] static std::string encode_verdict(
       const CachedVerdict& verdict);
@@ -151,11 +145,6 @@ class BehaviorCache {
       std::string_view payload);
 
  private:
-  [[nodiscard]] std::optional<std::string> load_payload(
-      const support::Digest128& key, Kind kind);
-  bool store_payload(const support::Digest128& key, Kind kind,
-                     std::string_view payload);
-
   std::string directory_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

@@ -221,10 +221,10 @@ CheckResult check_base_claims(const ClassSpec& spec, UsageAutomaton& usage,
   span.arg("claims", static_cast<std::uint64_t>(spec.claims.size()));
   const fsm::Nfa& nfa = usage.nfa();
   const std::vector<Symbol>& alphabet = nfa.alphabet();
-  std::optional<fsm::Dfa> usage_dfa;  // only the oracle path pays for it
+  std::optional<fsm::Dfa> minimal;  // only the oracle path pays for it
   const auto get_dfa = [&]() -> const fsm::Dfa& {
-    if (!usage_dfa) usage_dfa = fsm::minimize(usage.subsets());
-    return *usage_dfa;
+    if (!minimal) minimal = fsm::minimize(usage.subsets());
+    return *minimal;
   };
   for (const Claim& claim : spec.claims) {
     support::trace::Span claim_span("shelley.claim");

@@ -18,15 +18,15 @@ std::string_view to_string(Verdict verdict) {
 }
 
 Monitor::Monitor(const ClassSpec& spec, SymbolTable& table)
-    : table_(&table),
-      dfa_(fsm::minimize(fsm::determinize(usage_nfa(spec, table)))),
-      compiled_(fsm::CompiledDfa::compile(dfa_, table)),
-      state_(compiled_.initial()) {}
+    : Monitor(table,
+              fsm::minimize(fsm::determinize(usage_nfa(spec, table)))) {}
 
-Monitor::Monitor(SymbolTable& table, fsm::Dfa dfa)
+Monitor::Monitor(SymbolTable& table, const fsm::Dfa& dfa)
+    : Monitor(table, fsm::CompiledDfa::compile(dfa, table)) {}
+
+Monitor::Monitor(SymbolTable& table, fsm::CompiledDfa compiled)
     : table_(&table),
-      dfa_(std::move(dfa)),
-      compiled_(fsm::CompiledDfa::compile(dfa_, table)),
+      compiled_(std::move(compiled)),
       state_(compiled_.initial()) {}
 
 void Monitor::record(std::string_view operation) {

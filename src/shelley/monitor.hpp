@@ -44,15 +44,14 @@ class Monitor {
   /// into `table` as bare operation names.
   Monitor(const ClassSpec& spec, SymbolTable& table);
 
-  /// Builds a monitor directly from a previously constructed (or cached --
-  /// see shelley/cache.hpp) minimal usage DFA, skipping the
-  /// usage_nfa/determinize/minimize pipeline.  `dfa` must recognize the
-  /// valid-usage language of the class being monitored.
-  Monitor(SymbolTable& table, fsm::Dfa dfa);
+  /// Builds a monitor from a minimal usage DFA, compiling it; `dfa` must
+  /// recognize the valid-usage language of the class being monitored.
+  Monitor(SymbolTable& table, const fsm::Dfa& dfa);
 
-  /// The minimal valid-usage DFA the monitor was compiled from (for cache
-  /// stores).
-  [[nodiscard]] const fsm::Dfa& dfa() const { return dfa_; }
+  /// Builds a monitor over an already compiled (or cached -- see
+  /// QueryEngine::compiled_table) table whose event names are interned in
+  /// `table`.
+  Monitor(SymbolTable& table, fsm::CompiledDfa compiled);
 
   /// The compiled table the monitor walks.
   [[nodiscard]] const fsm::CompiledDfa& compiled() const { return compiled_; }
@@ -110,7 +109,6 @@ class Monitor {
   Verdict step(fsm::CompiledDfa::Letter letter);
 
   SymbolTable* table_;
-  fsm::Dfa dfa_;
   fsm::CompiledDfa compiled_;
   std::uint32_t state_;
   bool violated_ = false;

@@ -1,15 +1,14 @@
-// The cache protocol of the verifier: content-addressed keys, verdict
+// The replay protocol of the verifier: content-addressed keys, verdict
 // capture, and byte-identical replay.  Split out of verifier.cpp so the
 // pipeline (verify_spec.cpp) and the registration/driver logic
-// (verifier.cpp) stay independent of the cache encoding.
+// (verifier.cpp) stay independent of the cache encoding; the query engine
+// (src/engine) decides when a verdict is captured or replayed.
 #include "shelley/replay.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "shelley/fingerprint.hpp"
 #include "support/guard.hpp"
-#include "support/trace.hpp"
 
 namespace shelley::core {
 
@@ -85,33 +84,6 @@ ClassReport Verifier::replay_verdict(const ClassSpec& spec,
     sink.report(static_cast<Severity>(diag.severity),
                 SourceLoc{diag.line, diag.column}, std::move(diag.message));
   }
-  return report;
-}
-
-ClassReport Verifier::verify_or_replay(const ClassSpec& spec,
-                                       DiagnosticEngine& sink) {
-  if (cache_ == nullptr) return verify_spec(spec, sink);
-
-  const support::Digest128 key = cache_key(spec);
-  std::optional<CachedVerdict> cached = cache_->load_verdict(key);
-  // The key embeds the class name, so a mismatch means a colliding or
-  // tampered entry: discard it rather than replaying a foreign verdict.
-  if (cached && cached->class_name != spec.name) cached.reset();
-  if (cached) {
-    if (support::trace::enabled()) {
-      support::trace::instant("cache.hit/" + spec.name);
-    }
-    return replay_verdict(spec, *std::move(cached), sink);
-  }
-
-  // Miss: verify into a private sink so exactly this class's diagnostics
-  // can be stored alongside the verdict, then merge them back (appending
-  // preserves the serial order).
-  DiagnosticEngine local;
-  ClassReport report = verify_spec(spec, local);
-  sink.append(local);
-  if (report.resource_errors > 0) return report;  // aborted, not a result
-  cache_->store_verdict(key, capture_verdict(report, local, 0, table_));
   return report;
 }
 

@@ -1,9 +1,9 @@
 // The capture half of the verdict replay protocol: turning a verified
 // ClassReport (plus the diagnostics it appended to a sink) into the
 // CachedVerdict encoding that Verifier::replay_verdict can later turn back
-// into a byte-identical report.  Shared by the on-disk BehaviorCache tier
-// (verifier) and the in-memory memo tier of the query engine (src/engine),
-// so every cache layer stores and replays through exactly one code path.
+// into a byte-identical report.  The query engine (src/engine) stores its
+// encoding in both the memo and the on-disk tier, so every cache layer
+// stores and replays through exactly one code path.
 #pragma once
 
 #include <cstddef>

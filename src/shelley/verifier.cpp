@@ -7,7 +7,6 @@
 #include <exception>
 #include <vector>
 
-#include "shelley/cache.hpp"
 #include "support/guard.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -86,38 +85,42 @@ ClassReport Verifier::verify_class(std::string_view name) {
     report.invocation_errors = 1;
     return report;
   }
-  return verify_or_replay(*spec, diagnostics_);
+  return verify_spec(*spec, diagnostics_);
 }
 
-Report Verifier::verify_all() {
+Report Verifier::verify_all() { return verify_all(1); }
+
+Report Verifier::verify_all(std::size_t jobs) {
+  // One root span per top-level call.  Every per-class pipeline span lands
+  // under it: parallel_for submits through ThreadPool::submit, which
+  // carries this thread's trace context (now pointing at this span) onto
+  // the workers -- the fix for the orphan worker spans that used to show
+  // up as parentless roots in timelines.
   support::trace::Span span("shelley.verify_all");
-  Report report;
-  for (const ClassSpec& spec : specs_) {
-    if (!spec.is_system) continue;
-    report.classes.push_back(verify_or_replay(spec, diagnostics_));
+  Report report =
+      verify_all(jobs, [this](const ClassSpec& spec, DiagnosticEngine& sink) {
+        return verify_spec(spec, sink);
+      });
+  const std::size_t classes = report.classes.size();
+  if (jobs > 1 && classes > 1) {
+    span.arg("jobs", static_cast<std::uint64_t>(jobs));
   }
-  span.arg("classes", static_cast<std::uint64_t>(report.classes.size()));
+  span.arg("classes", static_cast<std::uint64_t>(classes));
   return report;
 }
 
-Report Verifier::verify_all(std::size_t jobs) {
-  if (jobs <= 1) return verify_all();  // the serial path, untouched
-
+Report Verifier::verify_all(std::size_t jobs, const ClassVerify& verify) {
   std::vector<const ClassSpec*> work;
   for (const ClassSpec& spec : specs_) {
     if (spec.is_system) work.push_back(&spec);
   }
-  if (work.size() <= 1) return verify_all();
-
-  // The parallel root span opens after the serial delegations above, so a
-  // top-level call produces exactly one "shelley.verify_all" root.  Every
-  // per-class pipeline span lands under it: parallel_for submits through
-  // ThreadPool::submit, which carries this thread's trace context (now
-  // pointing at this span) onto the workers -- the fix for the orphan
-  // worker spans that used to show up as parentless roots in timelines.
-  support::trace::Span span("shelley.verify_all");
-  span.arg("jobs", static_cast<std::uint64_t>(jobs));
-  span.arg("classes", static_cast<std::uint64_t>(work.size()));
+  Report report;
+  if (jobs <= 1 || work.size() <= 1) {
+    for (const ClassSpec* spec : work) {
+      report.classes.push_back(verify(*spec, diagnostics_));
+    }
+    return report;
+  }
 
   // Symbol ids leak into the output: alphabets are sorted by id and witness
   // searches break ties in alphabet order.  Pre-intern every symbol in the
@@ -131,7 +134,7 @@ Report Verifier::verify_all(std::size_t jobs) {
   std::vector<std::exception_ptr> errors(work.size());
   support::parallel_for(work.size(), jobs, [&](std::size_t i) {
     try {
-      reports[i] = verify_or_replay(*work[i], sinks[i]);
+      reports[i] = verify(*work[i], sinks[i]);
     } catch (...) {
       errors[i] = std::current_exception();
     }
@@ -139,7 +142,6 @@ Report Verifier::verify_all(std::size_t jobs) {
 
   // Merge in registration order so diagnostics and the report are stable
   // regardless of worker scheduling.
-  Report report;
   for (std::size_t i = 0; i < work.size(); ++i) {
     diagnostics_.append(sinks[i]);
     if (errors[i]) std::rethrow_exception(errors[i]);

@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -20,7 +21,6 @@
 
 namespace shelley::core {
 
-class BehaviorCache;
 struct CachedVerdict;
 
 /// Per-class verification outcome.
@@ -84,22 +84,27 @@ class Verifier {
   [[nodiscard]] Report verify_all();
 
   /// Verifies every registered @sys class on up to `jobs` worker threads.
-  /// `jobs == 1` is exactly the serial path.  With more jobs, classes are
-  /// verified independently, each into its own diagnostics sink; sinks and
-  /// report entries are merged in registration order, and the symbols every
-  /// class needs are pre-interned in the serial order first, so the output
-  /// is deterministic (and byte-identical to the serial path).
+  /// `jobs == 1` is exactly the serial path.
   [[nodiscard]] Report verify_all(std::size_t jobs);
 
-  /// Installs an on-disk behavior cache (not owned; nullptr detaches).
-  /// Every verification entry point then consults it before running the
-  /// extract_behaviors/check_* pipeline: a hit replays the stored verdict
-  /// and diagnostics byte-for-byte (the symbol table is pre-warmed in the
-  /// serial interning order first, so downstream classes see identical
-  /// symbol ids); a miss verifies as usual and stores the result, unless a
-  /// resource limit aborted the class.
-  void set_cache(BehaviorCache* cache) { cache_ = cache; }
-  [[nodiscard]] BehaviorCache* cache() const { return cache_; }
+  /// One class's verification into `sink`: verify_spec, or a caller's tier
+  /// in front of it (the query engine's cached report).
+  using ClassVerify =
+      std::function<ClassReport(const ClassSpec&, DiagnosticEngine&)>;
+
+  /// The deterministic parallel-merge protocol, the only one: every
+  /// registered @sys class goes through `verify`, into the verifier's own
+  /// sink when serial (`jobs == 1` or one class).  With more jobs the
+  /// symbols every class needs are pre-interned in the serial order first,
+  /// each class is verified into its own sink, and sinks and report entries
+  /// are merged in registration order, so the output is byte-identical to
+  /// the serial path.  Opens no span; callers name their own.
+  [[nodiscard]] Report verify_all(std::size_t jobs, const ClassVerify& verify);
+
+  /// The §3 pipeline for one class, uncached: extract behaviors, run every
+  /// check, and report findings into `sink`.
+  [[nodiscard]] ClassReport verify_spec(const ClassSpec& spec,
+                                        DiagnosticEngine& sink);
 
   /// The content-addressed cache key of one registered class: toolchain
   /// version, output-affecting options, the canonical class AST, and the
@@ -111,24 +116,16 @@ class Verifier {
   /// serial intern order and the stored diagnostics are re-emitted into
   /// `sink`.  The caller is responsible for having looked `verdict` up
   /// under this class's *current* cache key (shelley/replay.hpp pairs this
-  /// with capture_verdict; the engine's in-memory memo tier and the on-disk
-  /// BehaviorCache both replay through here).
+  /// with capture_verdict; the engine's memo and disk tiers both replay
+  /// through here).
   [[nodiscard]] ClassReport replay_verdict(const ClassSpec& spec,
                                            CachedVerdict verdict,
                                            DiagnosticEngine& sink);
 
-  /// verify_spec wrapped in the on-disk cache protocol: replay on hit,
-  /// verify and store on miss.  Exactly verify_spec when no cache is
-  /// installed.  Public so memo tiers layered *above* the disk cache
-  /// (src/engine) can fall through to it.
-  [[nodiscard]] ClassReport verify_or_replay(const ClassSpec& spec,
-                                             DiagnosticEngine& sink);
-
   /// Interns every symbol verifying `spec` will touch, in the same order
-  /// the serial verification path interns them.  Parallel drivers (here and
-  /// in src/engine) pre-warm every class in registration order first, so
-  /// worker-side interning only ever *finds* symbols and ids are identical
-  /// to a serial run.
+  /// the serial verification path interns them.  verify_all pre-warms
+  /// every class in registration order first, so worker-side interning
+  /// only ever *finds* symbols and ids are identical to a serial run.
   void warm_symbols(const ClassSpec& spec);
 
   /// Lint thresholds applied to every subsequently verified class.
@@ -156,15 +153,12 @@ class Verifier {
   }
 
  private:
-  [[nodiscard]] ClassReport verify_spec(const ClassSpec& spec,
-                                        DiagnosticEngine& sink);
   [[nodiscard]] ClassLookup lookup() const;
 
   SymbolTable table_;
   DiagnosticEngine diagnostics_;
   LintOptions lint_options_;
   CheckOptions check_options_;
-  BehaviorCache* cache_ = nullptr;
   std::deque<ClassSpec> specs_;  // deque: stable addresses for ClassLookup
   // Name -> index into specs_; keeps find_class O(1) (it is called once per
   // analyzed invocation).

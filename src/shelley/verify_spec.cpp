@@ -2,7 +2,7 @@
 // checks of §2.2) and the symbol pre-warming that keeps parallel and
 // replayed runs byte-identical to the serial path.  Split out of
 // verifier.cpp: this file is the pipeline, verifier.cpp is registration
-// and driving, replay.cpp is the cache protocol.
+// and driving, replay.cpp is the verdict capture/replay codec.
 #include <chrono>
 #include <optional>
 

@@ -60,10 +60,12 @@ std::uint64_t BinaryReader::u64() {
   return value;
 }
 
-std::string BinaryReader::str() {
+std::string BinaryReader::str() { return std::string(str_view()); }
+
+std::string_view BinaryReader::str_view() {
   const std::uint64_t size = u64();
   require(size);
-  std::string out(bytes_.substr(pos_, size));
+  const std::string_view out = bytes_.substr(pos_, size);
   pos_ += size;
   return out;
 }

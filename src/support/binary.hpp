@@ -46,6 +46,8 @@ class BinaryReader {
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] std::string str();
+  /// str() as a view into the buffer, copying nothing.
+  [[nodiscard]] std::string_view str_view();
   [[nodiscard]] std::string_view raw(std::size_t size);
 
   [[nodiscard]] std::size_t remaining() const {

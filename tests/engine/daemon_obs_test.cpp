@@ -364,8 +364,8 @@ TEST_F(DaemonObsTest, TraceExportFormsOneConnectedTreePerRequest) {
 }
 
 TEST_F(DaemonObsTest, QueryKindProbesCoverDfaAndSmvQueries) {
-  // usage_dfa / smv_model have no daemon verb; drive them through the
-  // engine directly and check their histograms fill in.
+  // Drive compiled_table and smv_model (which has no daemon verb) through
+  // the engine directly and check their histograms fill in.
   Workspace workspace;
   std::ostringstream err;
   load_inputs(workspace,
@@ -376,7 +376,7 @@ TEST_F(DaemonObsTest, QueryKindProbesCoverDfaAndSmvQueries) {
   const core::ClassSpec* valve =
       workspace.verifier().find_class("Valve");
   ASSERT_NE(valve, nullptr);
-  (void)engine.usage_dfa(*valve);
+  (void)engine.compiled_table(*valve);
   (void)engine.smv_model(*valve);
   (void)engine.verify_all(1);
 
@@ -384,7 +384,7 @@ TEST_F(DaemonObsTest, QueryKindProbesCoverDfaAndSmvQueries) {
   for (const auto& [name, snap] : metrics::histogram_snapshot()) {
     counts[name] = snap.count;
   }
-  EXPECT_GE(counts["query.usage_dfa_us"], 1u);
+  EXPECT_GE(counts["query.compiled_table_us"], 1u);
   EXPECT_GE(counts["query.smv_model_us"], 1u);
   EXPECT_GE(counts["query.verify_all_us"], 1u);
   EXPECT_GE(counts["query.report_us"], 1u);

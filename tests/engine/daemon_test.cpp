@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine/driver.hpp"
+#include "monitor/stream.hpp"
 #include "paper_sources.hpp"
 #include "shelley/fingerprint.hpp"
 #include "support/json.hpp"
@@ -444,6 +445,119 @@ TEST_F(DaemonTest, MonitorMemoizesTheCompiledTableAcrossRequests) {
   const JsonValue& queries = responses[3].at("queries");
   EXPECT_EQ(queries.at("table_misses").as_number(), 1);
   EXPECT_EQ(queries.at("table_hits").as_number(), 1);
+}
+
+/// One event stream for the monitor "file" form, in three encodings: an
+/// NDJSON text whose lines straddle the reader's 1 MiB chunk boundary,
+/// carry a 3 MiB line and end without a newline; the same events as SMEV
+/// frames (one of them over 1 MiB); and the event list itself.
+struct MonitorStream {
+  std::string ndjson;
+  std::string binary;
+};
+
+MonitorStream monitor_stream() {
+  static const char* const kOps[] = {"test", "open", "close", "test",
+                                     "clean", "open", "bogus"};
+  std::vector<std::string> devices;
+  for (int d = 0; d < 997; ++d) devices.push_back("dev" + std::to_string(d));
+  const std::vector<std::string> ops(std::begin(kOps), std::end(kOps));
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> events;
+  MonitorStream stream;
+  constexpr std::uint32_t kEvents = 200000;
+  for (std::uint32_t i = 0; i < kEvents; ++i) {
+    const auto device =
+        static_cast<std::uint32_t>((i * 7919u) % devices.size());
+    const auto op =
+        static_cast<std::uint32_t>((i / devices.size() + i % 3) % ops.size());
+    events.emplace_back(device, op);
+    stream.ndjson += "{\"device\":\"" + devices[device] + "\",\"op\":\"" +
+                     ops[op] + "\"";
+    if (i == 40000) {
+      stream.ndjson += ",\"pad\":\"" + std::string(3u << 20, 'p') + "\"";
+    }
+    stream.ndjson += "}";
+    if (i + 1 < kEvents) stream.ndjson += "\n";  // the last line stays open
+  }
+  std::size_t from = 0;
+  for (const std::size_t cut : {150000u, 151000u, kEvents}) {
+    stream.binary += monitor::encode_binary_frame(
+        devices, ops, {events.begin() + from, events.begin() + cut});
+    from = cut;
+  }
+  return stream;
+}
+
+std::string monitor_request(const std::string& form,
+                            const std::string& value,
+                            const char* format = nullptr) {
+  JsonWriter writer;
+  writer.begin_object();
+  writer.key("cmd").value("monitor");
+  writer.key("class").value("Valve");
+  writer.key("shards").value(std::uint64_t{2});
+  writer.key(form).value(value);
+  if (format != nullptr) writer.key("format").value(format);
+  writer.end_object();
+  return writer.str();
+}
+
+/// The raw reply lines of one in-process stdio daemon session.
+std::vector<std::string> raw_replies(const std::vector<std::string>& requests) {
+  CliOptions session;
+  session.jobs = 1;
+  std::string input;
+  for (const std::string& request : requests) input += request + "\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run_daemon(session, in, out, err), 0);
+  std::vector<std::string> replies;
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line)) replies.push_back(line);
+  return replies;
+}
+
+TEST_F(DaemonTest, MonitorFileAnswersLikeTheNdjsonBlob) {
+  const MonitorStream stream = monitor_stream();
+  write_file("events.ndjson", stream.ndjson);
+  const auto replies = raw_replies(
+      {load_request(), monitor_request("ndjson", stream.ndjson),
+       monitor_request("file", path("events.ndjson")),
+       monitor_request("file", path("events.ndjson"), "ndjson")});
+  ASSERT_EQ(replies.size(), 4u);
+  const JsonValue blob = parse_json(replies[1]);
+  ASSERT_TRUE(blob.at("ok").as_bool());
+  EXPECT_EQ(blob.at("events").as_number(), 200000);
+  EXPECT_GT(blob.at("violations").as_number(), 0);
+  EXPECT_EQ(replies[2], replies[1]);
+  EXPECT_EQ(replies[3], replies[1]);
+}
+
+TEST_F(DaemonTest, MonitorBinaryFileAnswersLikeTheNdjsonBlob) {
+  const MonitorStream stream = monitor_stream();
+  write_file("events.smev", stream.binary);
+  const auto replies = raw_replies(
+      {load_request(), monitor_request("ndjson", stream.ndjson),
+       monitor_request("file", path("events.smev"), "binary")});
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_TRUE(parse_json(replies[1]).at("ok").as_bool());
+  EXPECT_EQ(replies[2], replies[1]);
+}
+
+TEST_F(DaemonTest, MonitorBinaryFileCutMidFrameIsAnError) {
+  const MonitorStream stream = monitor_stream();
+  write_file("cut.smev", stream.binary.substr(0, stream.binary.size() - 5));
+  const auto responses = daemon_session(
+      {load_request(), monitor_request("file", path("cut.smev"), "binary"),
+       R"({"cmd":"version"})"});
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_FALSE(responses[1].at("ok").as_bool());
+  EXPECT_NE(responses[1].at("error").as_string().find(
+                "event file ends mid-frame"),
+            std::string::npos);
+  EXPECT_TRUE(responses[2].at("ok").as_bool());  // the session survived
 }
 
 }  // namespace

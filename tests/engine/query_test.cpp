@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
-#include "fsm/serialize.hpp"
+#include "fsm/ops.hpp"
 #include "paper_sources.hpp"
+#include "shelley/automata.hpp"
 #include "shelley/cache.hpp"
 
 namespace shelley::engine {
 namespace {
+
+using core::CacheKind;
 
 std::string fresh_dir(const char* tag) {
   static int counter = 0;
@@ -53,13 +57,13 @@ TEST_F(QueryTest, ColdSweepMissesWarmSweepHits) {
   load_paper_sources();
   QueryEngine engine(workspace_);
   const std::string cold = sweep(engine);
-  EXPECT_EQ(engine.stats().report_misses, 4u);
-  EXPECT_EQ(engine.stats().report_hits, 0u);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].misses, 4u);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].hits, 0u);
   EXPECT_EQ(engine.memo().stats().stores, 4u);
 
   const std::string warm = sweep(engine);
-  EXPECT_EQ(engine.stats().report_hits, 4u);
-  EXPECT_EQ(engine.stats().report_misses, 4u);  // unchanged
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].hits, 4u);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].misses, 4u);  // unchanged
   EXPECT_EQ(warm, cold);  // replay is byte-identical
 }
 
@@ -128,8 +132,8 @@ TEST_F(QueryTest, UpdateInvalidatesExactlyTheClosure) {
 
   (void)sweep(engine);
   // No survivors: the whole closure re-verifies from scratch.
-  EXPECT_EQ(engine.stats().report_hits, 0u);
-  EXPECT_EQ(engine.stats().report_misses, 8u);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].hits, 0u);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].misses, 8u);
 }
 
 TEST_F(QueryTest, CanaryOutsideClosureKeepsItsMemoEntry) {
@@ -139,7 +143,7 @@ TEST_F(QueryTest, CanaryOutsideClosureKeepsItsMemoEntry) {
                          "    def blink(self):\n        return [\"blink\"]\n");
   QueryEngine engine(workspace_);
   (void)sweep(engine);
-  ASSERT_EQ(engine.stats().report_misses, 5u);
+  ASSERT_EQ(engine.stats()[CacheKind::kVerdict].misses, 5u);
 
   std::string edited = examples::kValveSource;
   const auto pos = edited.find("return [\"test\"]");
@@ -151,8 +155,8 @@ TEST_F(QueryTest, CanaryOutsideClosureKeepsItsMemoEntry) {
 
   (void)sweep(engine);
   // The valve family re-verifies; Led replays from the memo.
-  EXPECT_EQ(engine.stats().report_hits, 1u);
-  EXPECT_EQ(engine.stats().report_misses, 9u);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].hits, 1u);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].misses, 9u);
 }
 
 TEST_F(QueryTest, CommentOnlyEditKeepsEveryEntry) {
@@ -169,52 +173,8 @@ TEST_F(QueryTest, CommentOnlyEditKeepsEveryEntry) {
   EXPECT_EQ(dropped, 0u);
 
   const std::string warm = sweep(engine);
-  EXPECT_EQ(engine.stats().report_hits, 4u);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].hits, 4u);
   EXPECT_EQ(warm, cold);
-}
-
-TEST_F(QueryTest, UsageDfaMemoizesAndReplaysIdentically) {
-  workspace_.load_source("valve.py", examples::kValveSource);
-  QueryEngine engine(workspace_);
-  const core::ClassSpec* spec = workspace_.verifier().find_class("Valve");
-  ASSERT_NE(spec, nullptr);
-
-  const fsm::Dfa cold = engine.usage_dfa(*spec);
-  EXPECT_EQ(engine.stats().dfa_misses, 1u);
-  const fsm::Dfa warm = engine.usage_dfa(*spec);
-  EXPECT_EQ(engine.stats().dfa_hits, 1u);
-  SymbolTable& table = workspace_.verifier().symbols();
-  EXPECT_EQ(fsm::dfa_to_bytes(warm, table), fsm::dfa_to_bytes(cold, table));
-}
-
-TEST_F(QueryTest, UsageDfaPromotesFromTheDiskTier) {
-  const std::string dir = fresh_dir("dfa");
-  // First session: build and persist.
-  {
-    Workspace workspace;
-    core::BehaviorCache cache(dir);
-    workspace.set_cache(&cache);
-    workspace.load_source("valve.py", examples::kValveSource);
-    QueryEngine engine(workspace);
-    const core::ClassSpec* spec = workspace.verifier().find_class("Valve");
-    ASSERT_NE(spec, nullptr);
-    (void)engine.usage_dfa(*spec);
-    EXPECT_EQ(engine.stats().dfa_misses, 1u);
-  }
-  // Second session, fresh memo: the disk tier answers, then the in-memory
-  // tier takes over.
-  Workspace workspace;
-  core::BehaviorCache cache(dir);
-  workspace.set_cache(&cache);
-  workspace.load_source("valve.py", examples::kValveSource);
-  QueryEngine engine(workspace);
-  const core::ClassSpec* spec = workspace.verifier().find_class("Valve");
-  ASSERT_NE(spec, nullptr);
-  (void)engine.usage_dfa(*spec);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  (void)engine.usage_dfa(*spec);
-  EXPECT_EQ(engine.stats().dfa_hits, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);  // memo answered, disk untouched
 }
 
 TEST_F(QueryTest, CompiledTableMemoizesAndReplaysIdentically) {
@@ -224,13 +184,15 @@ TEST_F(QueryTest, CompiledTableMemoizesAndReplaysIdentically) {
   ASSERT_NE(spec, nullptr);
 
   const fsm::CompiledDfa cold = engine.compiled_table(*spec);
-  EXPECT_EQ(engine.stats().table_misses, 1u);
-  EXPECT_EQ(engine.stats().table_hits, 0u);
+  EXPECT_EQ(engine.stats()[CacheKind::kTable].misses, 1u);
+  EXPECT_EQ(engine.stats()[CacheKind::kTable].hits, 0u);
   const fsm::CompiledDfa warm = engine.compiled_table(*spec);
-  EXPECT_EQ(engine.stats().table_hits, 1u);
+  EXPECT_EQ(engine.stats()[CacheKind::kTable].hits, 1u);
   EXPECT_EQ(warm.to_bytes(), cold.to_bytes());
   // The table agrees with the usage DFA it was compiled from.
-  const fsm::Dfa& dfa = engine.usage_dfa(*spec);
+  SymbolTable& table = workspace_.verifier().symbols();
+  const fsm::Dfa dfa =
+      fsm::minimize(fsm::determinize(core::usage_nfa(*spec, table)));
   EXPECT_EQ(cold.state_count(), dfa.state_count() + 1);  // + sink row
 }
 
@@ -247,7 +209,7 @@ TEST_F(QueryTest, CompiledTablePromotesFromTheDiskTier) {
     const core::ClassSpec* spec = workspace.verifier().find_class("Valve");
     ASSERT_NE(spec, nullptr);
     cold_bytes = engine.compiled_table(*spec).to_bytes();
-    EXPECT_EQ(engine.stats().table_misses, 1u);
+    EXPECT_EQ(engine.stats()[CacheKind::kTable].misses, 1u);
     EXPECT_GE(cache.stats().stores, 1u);
   }
   // Second session, fresh memo: the disk tier answers byte-identically,
@@ -262,7 +224,7 @@ TEST_F(QueryTest, CompiledTablePromotesFromTheDiskTier) {
   EXPECT_EQ(engine.compiled_table(*spec).to_bytes(), cold_bytes);
   EXPECT_EQ(cache.stats().hits, 1u);
   (void)engine.compiled_table(*spec);
-  EXPECT_EQ(engine.stats().table_hits, 1u);
+  EXPECT_EQ(engine.stats()[CacheKind::kTable].hits, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);  // memo answered, disk untouched
 }
 
@@ -282,7 +244,7 @@ TEST_F(QueryTest, CompiledTableInvalidatesWithTheClosure) {
   spec = workspace_.verifier().find_class("Valve");
   ASSERT_NE(spec, nullptr);
   (void)engine.compiled_table(*spec);
-  EXPECT_EQ(engine.stats().table_misses, 2u);
+  EXPECT_EQ(engine.stats()[CacheKind::kTable].misses, 2u);
 }
 
 TEST_F(QueryTest, SmvModelMemoizesWhenAllClaimsParse) {
@@ -294,9 +256,9 @@ TEST_F(QueryTest, SmvModelMemoizesWhenAllClaimsParse) {
 
   const SmvArtifact cold = engine.smv_model(*spec);
   EXPECT_TRUE(cold.skipped_claims.empty());
-  EXPECT_EQ(engine.stats().artifact_misses, 1u);
+  EXPECT_EQ(engine.stats()[CacheKind::kArtifact].misses, 1u);
   const SmvArtifact warm = engine.smv_model(*spec);
-  EXPECT_EQ(engine.stats().artifact_hits, 1u);
+  EXPECT_EQ(engine.stats()[CacheKind::kArtifact].hits, 1u);
   EXPECT_EQ(warm.text, cold.text);
 }
 
@@ -316,8 +278,8 @@ TEST_F(QueryTest, SmvModelWithSkippedClaimsIsNeverMemoized) {
   EXPECT_FALSE(first.skipped_claims.empty());
   const SmvArtifact second = engine.smv_model(*spec);
   // Both runs fell through -- the skip notice must reprint every time.
-  EXPECT_EQ(engine.stats().artifact_hits, 0u);
-  EXPECT_EQ(engine.stats().artifact_misses, 2u);
+  EXPECT_EQ(engine.stats()[CacheKind::kArtifact].hits, 0u);
+  EXPECT_EQ(engine.stats()[CacheKind::kArtifact].misses, 2u);
   EXPECT_EQ(second.skipped_claims, first.skipped_claims);
   EXPECT_EQ(second.text, first.text);
 }
@@ -337,7 +299,119 @@ TEST_F(QueryTest, MemoLayersAboveTheDiskCache) {
   // cache sees no further traffic.
   EXPECT_EQ(cache.stats().hits, cold_disk.hits);
   EXPECT_EQ(cache.stats().misses, cold_disk.misses);
-  EXPECT_EQ(engine.stats().report_hits, 4u);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].hits, 4u);
+}
+
+// Refused bytes: a payload that does not decode, or a verdict naming
+// another class, planted in a tier under a class's real key.  Neither is
+// ever replayed -- the answers stay the cold bytes -- and the tier that held
+// it counts the lookup as a miss (memo) or an invalidation (disk).
+class RefusedBytesTest : public QueryTest {
+ protected:
+  /// A cold sweep and Valve table over the paper sources, no tiers.
+  void SetUp() override {
+    Workspace cold;
+    for (const auto& [path, text] : sources()) cold.load_source(path, text);
+    QueryEngine engine(cold);
+    cold_report_ = render(cold, engine.verify_all(1));
+    const core::ClassSpec* valve = cold.verifier().find_class("Valve");
+    ASSERT_NE(valve, nullptr);
+    cold_table_ = engine.compiled_table(*valve).to_bytes();
+  }
+
+  static std::vector<std::pair<std::string, std::string>> sources() {
+    return {{"valve.py", examples::kValveSource},
+            {"bad.py", examples::kBadSectorSource},
+            {"sector.py", examples::kSectorSource},
+            {"good.py", examples::kGoodSectorSource}};
+  }
+
+  static std::string render(Workspace& workspace,
+                            const core::Report& report) {
+    std::string text = report.render(workspace.verifier().symbols());
+    const auto& diags = workspace.verifier().diagnostics().diagnostics();
+    for (std::size_t i = workspace.load_diag_end(); i < diags.size(); ++i) {
+      text += diags[i].message + "\n";
+    }
+    return text;
+  }
+
+  support::Digest128 key_of(const char* name) {
+    const core::ClassSpec* spec = workspace_.verifier().find_class(name);
+    EXPECT_NE(spec, nullptr);
+    return workspace_.verifier().cache_key(*spec);
+  }
+
+  static std::string foreign_verdict() {
+    core::CachedVerdict verdict;
+    verdict.class_name = "Pump";
+    return core::BehaviorCache::encode_verdict(verdict);
+  }
+
+  std::string cold_report_;
+  std::string cold_table_;
+};
+
+TEST_F(RefusedBytesTest, MemoTierNeverReplaysThem) {
+  load_paper_sources();
+  QueryEngine engine(workspace_);
+  engine.memo().put(CacheKind::kVerdict, key_of("Valve"), "garbage");
+  engine.memo().put(CacheKind::kVerdict, key_of("Sector"), foreign_verdict());
+  engine.memo().put(CacheKind::kTable, key_of("Valve"), "garbage");
+
+  workspace_.rewind_to_loaded();
+  EXPECT_EQ(render(workspace_, engine.verify_all(1)), cold_report_);
+  const core::ClassSpec* valve = workspace_.verifier().find_class("Valve");
+  ASSERT_NE(valve, nullptr);
+  EXPECT_EQ(engine.compiled_table(*valve).to_bytes(), cold_table_);
+
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].hits, 0u);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].misses, 4u);
+  EXPECT_EQ(engine.stats()[CacheKind::kTable].misses, 1u);
+  EXPECT_EQ(engine.memo().stats().hits, 0u);
+  EXPECT_EQ(engine.memo().stats().misses, 5u);
+  // The rebuilt answers replaced the refused bytes: a second sweep hits.
+  workspace_.rewind_to_loaded();
+  EXPECT_EQ(render(workspace_, engine.verify_all(1)), cold_report_);
+  EXPECT_EQ(engine.stats()[CacheKind::kVerdict].hits, 4u);
+}
+
+TEST_F(RefusedBytesTest, DiskTierNeverReplaysThem) {
+  core::BehaviorCache cache(fresh_dir("refused"));
+  workspace_.set_cache(&cache);
+  load_paper_sources();
+  const auto plant = [&](CacheKind kind, const char* name,
+                         const std::string& payload) {
+    const support::Digest128 key = key_of(name);
+    std::ofstream(cache.entry_path(key, kind), std::ios::binary)
+        << core::BehaviorCache::encode_file(key, kind, payload);
+  };
+  plant(CacheKind::kVerdict, "Valve", "garbage");
+  plant(CacheKind::kVerdict, "Sector", foreign_verdict());
+  plant(CacheKind::kTable, "Valve", "garbage");
+
+  QueryEngine engine(workspace_);
+  workspace_.rewind_to_loaded();
+  EXPECT_EQ(render(workspace_, engine.verify_all(1)), cold_report_);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().invalidations, 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);  // BadSector, GoodSector
+  EXPECT_EQ(cache.stats().stores, 4u);
+  const core::ClassSpec* valve = workspace_.verifier().find_class("Valve");
+  ASSERT_NE(valve, nullptr);
+  EXPECT_EQ(engine.compiled_table(*valve).to_bytes(), cold_table_);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().invalidations, 3u);
+  EXPECT_EQ(cache.stats().stores, 5u);
+
+  // The stores overwrote the planted entries: a fresh engine (empty memo)
+  // replays every answer from disk.
+  QueryEngine fresh(workspace_);
+  workspace_.rewind_to_loaded();
+  EXPECT_EQ(render(workspace_, fresh.verify_all(1)), cold_report_);
+  EXPECT_EQ(fresh.compiled_table(*valve).to_bytes(), cold_table_);
+  EXPECT_EQ(cache.stats().hits, 5u);
+  EXPECT_EQ(cache.stats().invalidations, 3u);
 }
 
 TEST_F(QueryTest, VerifyClassUnknownNameReportsError) {

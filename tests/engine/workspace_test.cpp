@@ -83,6 +83,33 @@ TEST(WorkspaceTest, UpdateReparsesOnlyTheEditedFile) {
   EXPECT_EQ(update.stale_keys.size(), 2u);
 }
 
+TEST(WorkspaceTest, ParseMemoHoldsOnlyRegisteredTexts) {
+  // Edit T0 -> T1 -> T2 -> T0: each rebuild drops the parses no file holds,
+  // so returning to T0 parses it again instead of answering from a memo
+  // that kept every revision.  A text another file still holds stays.
+  Workspace workspace;
+  const std::string t0 = examples::kValveSource;
+  workspace.load_source("valve.py", t0);
+  workspace.load_source("sector.py", examples::kSectorSource);
+  ASSERT_EQ(workspace.parse_stats().misses, 2u);
+  const auto revision = [&](const char* ops) {
+    std::string text = t0;
+    const auto pos = text.find("return [\"test\"]");
+    EXPECT_NE(pos, std::string::npos);
+    text.replace(pos, 15, std::string("return [") + ops + "]");
+    return text;
+  };
+  workspace.update_source("valve.py", revision("\"test\", \"clean\""));
+  workspace.update_source("valve.py", revision("\"clean\""));
+  EXPECT_EQ(workspace.parse_stats().misses, 4u);
+  EXPECT_EQ(workspace.parse_stats().hits, 2u);  // sector.py, twice
+
+  workspace.update_source("valve.py", t0);
+  EXPECT_EQ(workspace.parse_stats().misses, 5u);  // T0 was dropped
+  EXPECT_EQ(workspace.parse_stats().hits, 3u);
+  EXPECT_NE(workspace.verifier().find_class("Valve"), nullptr);
+}
+
 TEST(WorkspaceTest, CommentOnlyEditChangesNoKeys) {
   Workspace workspace;
   workspace.load_source("valve.py", examples::kValveSource);

@@ -214,6 +214,24 @@ TEST_F(StreamTest, OutOfRangeRecordChecksNothing) {
   EXPECT_EQ(checker.stats().events, 1u);
 }
 
+TEST_F(StreamTest, RejectedFrameRegistersNoDevice) {
+  // A frame rejected with BinaryFormatError checks nothing, so its device
+  // table must not reach the fleet either: after it, one valid event on a
+  // third device leaves exactly that device, counted exactly as a checker
+  // that never saw the frame counts it.
+  const std::string frame =
+      encode_binary_frame({"v1", "v2"}, {"test"}, {{0, 0}, {2, 0}});
+  StreamChecker checker = make_checker();
+  EXPECT_THROW(checker.ingest_binary(frame.substr(12)),
+               support::BinaryFormatError);
+  checker.ingest_ndjson(line("v3", "test"));
+  StreamChecker fresh = make_checker();
+  fresh.ingest_ndjson(line("v3", "test"));
+  EXPECT_EQ(checker.stats().devices, 1u);
+  EXPECT_EQ(checker.completed_devices(), fresh.completed_devices());
+  EXPECT_EQ(checker.incomplete_devices(), fresh.incomplete_devices());
+}
+
 TEST_F(StreamTest, TruncatedBodyThrows) {
   const std::string frame = encode_binary_frame({"v1"}, {"test"}, {{0, 0}});
   const std::string body = frame.substr(12);

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/query.hpp"
+#include "engine/workspace.hpp"
 #include "paper_sources.hpp"
 #include "shelley/cache.hpp"
 #include "shelley/report_json.hpp"
@@ -56,10 +58,14 @@ RunResult run_corpus(const std::string& cache_dir,
                      const std::vector<std::string>& sources) {
   BehaviorCache cache(cache_dir);
   const CacheStats before = cache.stats();
-  Verifier verifier;
-  verifier.set_cache(&cache);
-  for (const std::string& source : sources) verifier.add_source(source);
-  const Report report = verifier.verify_all();
+  engine::Workspace workspace;
+  workspace.set_cache(&cache);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    workspace.load_source("source" + std::to_string(i) + ".py", sources[i]);
+  }
+  engine::QueryEngine engine(workspace);
+  const Report report = engine.verify_all(1);
+  Verifier& verifier = workspace.verifier();
 
   RunResult result;
   result.text = report.render(verifier.symbols());
@@ -182,10 +188,14 @@ TEST(CacheDifferential, ParallelWarmRunMatchesSerialCold) {
   // A warm run on worker threads must replay the identical bytes: symbol
   // pre-warming keeps interning order serial even when replays race.
   BehaviorCache cache(dir);
-  Verifier verifier;
-  verifier.set_cache(&cache);
-  for (const std::string& source : sources) verifier.add_source(source);
-  const Report report = verifier.verify_all(4);
+  engine::Workspace workspace;
+  workspace.set_cache(&cache);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    workspace.load_source("source" + std::to_string(i) + ".py", sources[i]);
+  }
+  engine::QueryEngine engine(workspace);
+  const Report report = engine.verify_all(4);
+  Verifier& verifier = workspace.verifier();
 
   std::string text = report.render(verifier.symbols());
   for (const auto& diag : verifier.diagnostics().diagnostics()) {

@@ -65,13 +65,44 @@ void write_file(const std::string& path, std::string_view bytes) {
   file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// The typed lookups the query engine makes over the byte store: encode on
+// put; on get, decode and count a payload that does not decode back out as
+// an invalidation.
+bool store_verdict(BehaviorCache& cache, const support::Digest128& key,
+                   const CachedVerdict& verdict) {
+  return cache.put(CacheKind::kVerdict, key,
+                   BehaviorCache::encode_verdict(verdict));
+}
+
+std::optional<CachedVerdict> load_verdict(BehaviorCache& cache,
+                                          const support::Digest128& key) {
+  const auto bytes = cache.get(CacheKind::kVerdict, key);
+  if (!bytes) return std::nullopt;
+  auto verdict = BehaviorCache::decode_verdict(*bytes);
+  if (!verdict) cache.reject_hit();
+  return verdict;
+}
+
+std::optional<fsm::CompiledDfa> load_table(BehaviorCache& cache,
+                                           const support::Digest128& key,
+                                           SymbolTable& table) {
+  const auto bytes = cache.get(CacheKind::kTable, key);
+  if (!bytes) return std::nullopt;
+  try {
+    return fsm::CompiledDfa::from_bytes(*bytes, table);
+  } catch (const support::BinaryFormatError&) {
+    cache.reject_hit();
+    return std::nullopt;
+  }
+}
+
 TEST(Cache, VerdictRoundTrip) {
   BehaviorCache cache(fresh_dir("verdict_round_trip"));
   const auto key = key_of("Sector");
   const CachedVerdict stored = sample_verdict();
-  ASSERT_TRUE(cache.store_verdict(key, stored));
+  ASSERT_TRUE(store_verdict(cache, key, stored));
 
-  const auto loaded = cache.load_verdict(key);
+  const auto loaded = load_verdict(cache, key);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->class_name, "Sector");
   EXPECT_TRUE(loaded->is_composite);
@@ -100,7 +131,7 @@ TEST(Cache, VerdictRoundTrip) {
 
 TEST(Cache, AbsentEntryIsAMiss) {
   BehaviorCache cache(fresh_dir("absent"));
-  EXPECT_FALSE(cache.load_verdict(key_of("nothing")).has_value());
+  EXPECT_FALSE(load_verdict(cache, key_of("nothing")).has_value());
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.invalidations, 0u);
@@ -109,15 +140,15 @@ TEST(Cache, AbsentEntryIsAMiss) {
 TEST(Cache, TruncationAtEveryLengthDegradesToMiss) {
   BehaviorCache cache(fresh_dir("truncation"));
   const auto key = key_of("Sector");
-  ASSERT_TRUE(cache.store_verdict(key, sample_verdict()));
+  ASSERT_TRUE(store_verdict(cache, key, sample_verdict()));
   const std::string path =
-      cache.entry_path(key, BehaviorCache::Kind::kVerdict);
+      cache.entry_path(key, CacheKind::kVerdict);
   const std::string intact = read_file(path);
   ASSERT_FALSE(intact.empty());
 
   for (std::size_t cut = 0; cut < intact.size(); ++cut) {
     write_file(path, std::string_view(intact).substr(0, cut));
-    EXPECT_FALSE(cache.load_verdict(key).has_value())
+    EXPECT_FALSE(load_verdict(cache, key).has_value())
         << "prefix of " << cut << " bytes replayed";
   }
   const CacheStats stats = cache.stats();
@@ -128,9 +159,9 @@ TEST(Cache, TruncationAtEveryLengthDegradesToMiss) {
 TEST(Cache, EveryBitFlipDegradesToMiss) {
   BehaviorCache cache(fresh_dir("bit_flips"));
   const auto key = key_of("Sector");
-  ASSERT_TRUE(cache.store_verdict(key, sample_verdict()));
+  ASSERT_TRUE(store_verdict(cache, key, sample_verdict()));
   const std::string path =
-      cache.entry_path(key, BehaviorCache::Kind::kVerdict);
+      cache.entry_path(key, CacheKind::kVerdict);
   const std::string intact = read_file(path);
 
   for (std::size_t byte = 0; byte < intact.size(); ++byte) {
@@ -138,7 +169,7 @@ TEST(Cache, EveryBitFlipDegradesToMiss) {
       std::string corrupt = intact;
       corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
       write_file(path, corrupt);
-      EXPECT_FALSE(cache.load_verdict(key).has_value())
+      EXPECT_FALSE(load_verdict(cache, key).has_value())
           << "flip of byte " << byte << " bit " << bit << " replayed";
     }
   }
@@ -147,14 +178,14 @@ TEST(Cache, EveryBitFlipDegradesToMiss) {
 TEST(Cache, VersionSkewDegradesToMiss) {
   BehaviorCache cache(fresh_dir("version_skew"));
   const auto key = key_of("Sector");
-  ASSERT_TRUE(cache.store_verdict(key, sample_verdict()));
+  ASSERT_TRUE(store_verdict(cache, key, sample_verdict()));
   const std::string path =
-      cache.entry_path(key, BehaviorCache::Kind::kVerdict);
+      cache.entry_path(key, CacheKind::kVerdict);
   std::string image = read_file(path);
   // The u32 format version sits right after the 4-byte magic.
   image[4] = static_cast<char>(kCacheFormatVersion + 1);
   write_file(path, image);
-  EXPECT_FALSE(cache.load_verdict(key).has_value());
+  EXPECT_FALSE(load_verdict(cache, key).has_value());
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
@@ -164,10 +195,10 @@ TEST(Cache, RenamedEntryDegradesToMiss) {
   BehaviorCache cache(fresh_dir("renamed"));
   const auto key = key_of("Sector");
   const auto other = key_of("Valve");
-  ASSERT_TRUE(cache.store_verdict(key, sample_verdict()));
-  fs::copy_file(cache.entry_path(key, BehaviorCache::Kind::kVerdict),
-                cache.entry_path(other, BehaviorCache::Kind::kVerdict));
-  EXPECT_FALSE(cache.load_verdict(other).has_value());
+  ASSERT_TRUE(store_verdict(cache, key, sample_verdict()));
+  fs::copy_file(cache.entry_path(key, CacheKind::kVerdict),
+                cache.entry_path(other, CacheKind::kVerdict));
+  EXPECT_FALSE(load_verdict(cache, other).has_value());
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
@@ -176,17 +207,17 @@ TEST(Cache, WrongKindDegradesToMiss) {
   const auto key = key_of("Sector");
   // An artifact image placed at the verdict path: framing kind mismatch.
   const std::string image = BehaviorCache::encode_file(
-      key, BehaviorCache::Kind::kArtifact, "MODULE main");
-  write_file(cache.entry_path(key, BehaviorCache::Kind::kVerdict), image);
-  EXPECT_FALSE(cache.load_verdict(key).has_value());
+      key, CacheKind::kArtifact, "MODULE main");
+  write_file(cache.entry_path(key, CacheKind::kVerdict), image);
+  EXPECT_FALSE(load_verdict(cache, key).has_value());
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
 TEST(Cache, StoreLeavesNoTempFiles) {
   const std::string dir = fresh_dir("atomic");
   BehaviorCache cache(dir);
-  ASSERT_TRUE(cache.store_verdict(key_of("Sector"), sample_verdict()));
-  ASSERT_TRUE(cache.store_artifact(key_of("smv"), "MODULE main"));
+  ASSERT_TRUE(store_verdict(cache, key_of("Sector"), sample_verdict()));
+  ASSERT_TRUE(cache.put(CacheKind::kArtifact, key_of("smv"), "MODULE main"));
   std::size_t entries = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
@@ -194,43 +225,6 @@ TEST(Cache, StoreLeavesNoTempFiles) {
     ++entries;
   }
   EXPECT_EQ(entries, 2u);
-}
-
-TEST(Cache, DfaRoundTrip) {
-  BehaviorCache cache(fresh_dir("dfa"));
-  SymbolTable table;
-  const Symbol ping = table.intern("ping");
-  fsm::Dfa dfa(2, {ping});
-  dfa.set_transition(0, 0, 1);
-  dfa.set_transition(1, 0, 1);
-  dfa.set_accepting(1, true);
-
-  const auto key = key_of("Pinger");
-  ASSERT_TRUE(cache.store_dfa(key, dfa, table));
-
-  SymbolTable other;
-  other.intern("unrelated");
-  const auto loaded = cache.load_dfa(key, other);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(loaded->accepts(shelley::testing::word(other, {"ping"})));
-  EXPECT_FALSE(
-      loaded->accepts(shelley::testing::word(other, {"ping", "ping", "x"})));
-}
-
-TEST(Cache, CorruptDfaPayloadDegradesToMiss) {
-  // A well-framed entry whose *payload* is not a DFA: framing passes (the
-  // digest matches the garbage), the decoder rejects, and the hit is
-  // re-counted as an invalidation.
-  BehaviorCache cache(fresh_dir("dfa_corrupt"));
-  const auto key = key_of("Pinger");
-  const std::string image = BehaviorCache::encode_file(
-      key, BehaviorCache::Kind::kDfa, "not a dfa");
-  write_file(cache.entry_path(key, BehaviorCache::Kind::kDfa), image);
-  SymbolTable table;
-  EXPECT_FALSE(cache.load_dfa(key, table).has_value());
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.invalidations, 1u);
 }
 
 TEST(Cache, CompiledTableRoundTrip) {
@@ -244,11 +238,11 @@ TEST(Cache, CompiledTableRoundTrip) {
   const fsm::CompiledDfa compiled = fsm::CompiledDfa::compile(dfa, table);
 
   const auto key = key_of("Pinger");
-  ASSERT_TRUE(cache.store_table(key, compiled));
+  ASSERT_TRUE(cache.put(CacheKind::kTable, key, compiled.to_bytes()));
 
   SymbolTable other;
   other.intern("unrelated");
-  const auto loaded = cache.load_table(key, other);
+  const auto loaded = load_table(cache, key, other);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->cells(), compiled.cells());
   EXPECT_EQ(loaded->event_names(), compiled.event_names());
@@ -258,9 +252,9 @@ TEST(Cache, CompiledTableRoundTrip) {
   EXPECT_EQ(stats.stores, 1u);
 }
 
-TEST(Cache, TableKindIsDistinctFromDfaKind) {
-  // A stored table must not answer a DFA load of the same key (and vice
-  // versa): the kind is part of the entry identity.
+TEST(Cache, TableKindIsDistinctFromArtifactKind) {
+  // A stored table must not answer an artifact get of the same key (and
+  // vice versa): the kind is part of the entry identity.
   BehaviorCache cache(fresh_dir("table_kind"));
   SymbolTable table;
   const Symbol ping = table.intern("ping");
@@ -268,10 +262,11 @@ TEST(Cache, TableKindIsDistinctFromDfaKind) {
   dfa.set_transition(0, 0, 0);
   dfa.set_accepting(0, true);
   const auto key = key_of("Pinger");
-  ASSERT_TRUE(cache.store_table(key, fsm::CompiledDfa::compile(dfa, table)));
+  ASSERT_TRUE(cache.put(CacheKind::kTable, key,
+                        fsm::CompiledDfa::compile(dfa, table).to_bytes()));
   SymbolTable scratch;
-  EXPECT_FALSE(cache.load_dfa(key, scratch).has_value());
-  EXPECT_TRUE(cache.load_table(key, scratch).has_value());
+  EXPECT_FALSE(cache.get(CacheKind::kArtifact, key).has_value());
+  EXPECT_TRUE(load_table(cache, key, scratch).has_value());
 }
 
 TEST(Cache, CorruptTablePayloadDegradesToMiss) {
@@ -280,10 +275,10 @@ TEST(Cache, CorruptTablePayloadDegradesToMiss) {
   BehaviorCache cache(fresh_dir("table_corrupt"));
   const auto key = key_of("Pinger");
   const std::string image = BehaviorCache::encode_file(
-      key, BehaviorCache::Kind::kTable, "not a compiled table");
-  write_file(cache.entry_path(key, BehaviorCache::Kind::kTable), image);
+      key, CacheKind::kTable, "not a compiled table");
+  write_file(cache.entry_path(key, CacheKind::kTable), image);
   SymbolTable table;
-  EXPECT_FALSE(cache.load_table(key, table).has_value());
+  EXPECT_FALSE(load_table(cache, key, table).has_value());
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.invalidations, 1u);
@@ -310,18 +305,18 @@ TEST(Cache, TableTruncationAndBitFlipsDegradeToCountedMisses) {
   std::string image;
   {
     BehaviorCache cache(fresh_dir("table_image"));
-    ASSERT_TRUE(cache.store_table(key, compiled));
-    image = read_file(cache.entry_path(key, BehaviorCache::Kind::kTable));
+    ASSERT_TRUE(cache.put(CacheKind::kTable, key, compiled.to_bytes()));
+    image = read_file(cache.entry_path(key, CacheKind::kTable));
   }
 
   BehaviorCache cache(fresh_dir("table_adversarial"));
   const std::string path =
-      cache.entry_path(key, BehaviorCache::Kind::kTable);
+      cache.entry_path(key, CacheKind::kTable);
   std::uint64_t rejected = 0;
   for (std::size_t length = 0; length < image.size(); length += 7) {
     write_file(path, image.substr(0, length));
     SymbolTable scratch;
-    if (!cache.load_table(key, scratch).has_value()) ++rejected;
+    if (!load_table(cache, key, scratch).has_value()) ++rejected;
   }
   for (std::size_t bit = 0; bit < image.size() * 8; bit += 11) {
     std::string mutated = image;
@@ -329,13 +324,13 @@ TEST(Cache, TableTruncationAndBitFlipsDegradeToCountedMisses) {
         static_cast<unsigned char>(mutated[bit / 8]) ^ (1u << (bit % 8)));
     write_file(path, mutated);
     SymbolTable scratch;
-    (void)cache.load_table(key, scratch);  // must not crash
+    (void)load_table(cache, key, scratch);  // must not crash
   }
   EXPECT_GT(rejected, 0u);
   // The pristine image still loads after the storm.
   write_file(path, image);
   SymbolTable scratch;
-  const auto loaded = cache.load_table(key, scratch);
+  const auto loaded = load_table(cache, key, scratch);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->cells(), compiled.cells());
 }
@@ -343,8 +338,8 @@ TEST(Cache, TableTruncationAndBitFlipsDegradeToCountedMisses) {
 TEST(Cache, ArtifactRoundTripPreservesBytes) {
   BehaviorCache cache(fresh_dir("artifact"));
   const std::string smv = "MODULE main\nVAR s : {a, b};\n\x01\x02\xff";
-  ASSERT_TRUE(cache.store_artifact(key_of("smv"), smv));
-  const auto loaded = cache.load_artifact(key_of("smv"));
+  ASSERT_TRUE(cache.put(CacheKind::kArtifact, key_of("smv"), smv));
+  const auto loaded = cache.get(CacheKind::kArtifact, key_of("smv"));
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, smv);
 }
@@ -353,10 +348,10 @@ TEST(Cache, OverwriteReplacesEntry) {
   BehaviorCache cache(fresh_dir("overwrite"));
   const auto key = key_of("Sector");
   CachedVerdict verdict = sample_verdict();
-  ASSERT_TRUE(cache.store_verdict(key, verdict));
+  ASSERT_TRUE(store_verdict(cache, key, verdict));
   verdict.lint_findings = 99;
-  ASSERT_TRUE(cache.store_verdict(key, verdict));
-  const auto loaded = cache.load_verdict(key);
+  ASSERT_TRUE(store_verdict(cache, key, verdict));
+  const auto loaded = load_verdict(cache, key);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->lint_findings, 99u);
 }

@@ -25,7 +25,7 @@ FLOOR=90
 
 # The suites that define the subsystem's coverage. Re-running them resets
 # nothing (gcda accumulates), which is fine: more coverage never fails.
-for test_bin in support_hash_test fsm_serialize_test core_cache_test \
+for test_bin in support_hash_test core_cache_test \
     core_cache_differential_test; do
   if [ ! -x "$BUILD_DIR/tests/$test_bin" ]; then
     echo "check_coverage: missing $BUILD_DIR/tests/$test_bin" >&2

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "fsm/dfa.hpp"
-#include "fsm/serialize.hpp"
 #include "fsm/table.hpp"
 #include "ltlf/automaton.hpp"
 #include "ltlf/parser.hpp"
@@ -305,19 +304,12 @@ bool run_one(const std::string& extension, const std::string& input) {
         key.lo = read_u64(9);
         key.hi = read_u64(17);
       }
-      for (const auto kind : {core::BehaviorCache::Kind::kVerdict,
-                              core::BehaviorCache::Kind::kDfa,
-                              core::BehaviorCache::Kind::kArtifact,
-                              core::BehaviorCache::Kind::kTable}) {
+      for (const auto kind : {core::CacheKind::kVerdict,
+                              core::CacheKind::kArtifact,
+                              core::CacheKind::kTable}) {
         if (const auto payload =
                 core::BehaviorCache::decode_file(input, key, kind)) {
           (void)core::BehaviorCache::decode_verdict(*payload);
-          try {
-            SymbolTable table;
-            (void)fsm::dfa_from_bytes(*payload, table);
-          } catch (const support::BinaryFormatError&) {
-            // Structured rejection is the contract.
-          }
           try {
             SymbolTable table;
             (void)fsm::CompiledDfa::from_bytes(*payload, table);

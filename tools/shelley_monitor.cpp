@@ -144,29 +144,6 @@ std::optional<MonitorOptions> parse_args(int argc, char** argv,
   return options;
 }
 
-/// Streams `in` through `consume(buffer)`, which returns the bytes it
-/// used; the rest is carried into the next read.  With `lines`, a read
-/// that adds no '\n' does not call `consume`, so a long line is searched
-/// once, not once per read, and an unterminated last line gets its '\n'
-/// at end of input.  Returns whether every byte was used.
-template <typename Fn>
-bool pump(std::istream& in, bool lines, Fn&& consume) {
-  std::string pending;
-  std::string chunk(1 << 20, '\0');
-  while (in) {
-    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    const std::streamsize got = in.gcount();
-    if (got <= 0) break;
-    const std::string_view fresh(chunk.data(), static_cast<std::size_t>(got));
-    pending.append(fresh);
-    if (lines && fresh.find('\n') == std::string_view::npos) continue;
-    pending.erase(0, consume(std::string_view(pending)));
-  }
-  if (lines && !pending.empty()) pending.push_back('\n');
-  pending.erase(0, consume(std::string_view(pending)));
-  return pending.empty();
-}
-
 /// NDJSON -> SMEV converter (--emit-binary): one frame per ~1M events.
 int emit_binary(const MonitorOptions& options, std::istream& in,
                 std::ostream& err) {
@@ -202,7 +179,7 @@ int emit_binary(const MonitorOptions& options, std::istream& in,
     index.emplace(names.back(), id);
     return id;
   };
-  pump(in, true, [&](std::string_view buffer) {
+  monitor::pump(in, true, [&](std::string_view buffer) {
     return monitor::for_each_event_line(
         buffer,
         [&](std::string_view device, std::string_view op) {
@@ -240,15 +217,10 @@ int run(const MonitorOptions& options, std::istream& stdin_stream,
 
   engine::Workspace workspace;
   std::optional<core::BehaviorCache> cache;
-  if (options.cache_dir) {
-    try {
-      cache.emplace(*options.cache_dir);
-    } catch (const std::exception& error) {
-      err << "shelley-monitor: " << error.what() << "\n";
-      return 2;
-    }
-    workspace.set_cache(&*cache);
+  if (!engine::open_cache(options.cache_dir, "shelley-monitor", err, cache)) {
+    return 2;
   }
+  if (cache) workspace.set_cache(&*cache);
   engine::QueryEngine engine(workspace);
   if (engine::load_inputs(workspace, options.files, err)) return 2;
   const core::ClassSpec* spec =
@@ -289,9 +261,10 @@ int run(const MonitorOptions& options, std::istream& stdin_stream,
   bool clean_input = true;
   if (options.binary) {
     try {
-      clean_input = pump(*events, false, [&](std::string_view buffer) {
-        return monitor::ingest_binary_stream(checker, buffer);
-      });
+      clean_input =
+          monitor::pump(*events, false, [&](std::string_view buffer) {
+            return monitor::ingest_binary_stream(checker, buffer);
+          });
     } catch (const support::BinaryFormatError& error) {
       err << "shelley-monitor: malformed binary stream: " << error.what()
           << "\n";
@@ -302,7 +275,7 @@ int run(const MonitorOptions& options, std::istream& stdin_stream,
       return 2;
     }
   } else {
-    pump(*events, true, [&](std::string_view buffer) {
+    monitor::pump(*events, true, [&](std::string_view buffer) {
       return checker.ingest_ndjson(buffer);
     });
   }
