@@ -50,7 +50,9 @@ int main() {
     std::printf("  %-10s p  = %s\n", name.c_str(),
                 ir::to_string(behavior.program, verifier.symbols()).c_str());
     std::printf("  %-10s r  = %s\n", "",
-                rex::to_string(behavior.inferred, verifier.symbols()).c_str());
+                rex::to_string(ir::infer_simplified(behavior.program),
+                               verifier.symbols())
+                    .c_str());
   }
 
   const core::Report report = verifier.verify_all();

@@ -40,15 +40,19 @@ int run_daemon(const CliOptions& session_options, std::istream& in,
                {log::Field("slow_ms", session_options.slow_ms)});
   }
 
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const Session::Outcome outcome = session.handle_line(line);
-    out << outcome.response << "\n" << std::flush;
-    // Over stdio there is no server distinct from the session, so both
-    // shutdown scopes end the loop.
-    if (outcome.shutdown) break;
-  }
+  // Request lines are framed and bounded exactly as on the socket.
+  read_request_lines(
+      [&in](char* data, std::size_t size) {
+        return read_line_piece(in, data, size);
+      },
+      [&](std::string line) {
+        const Session::Outcome outcome = session.handle_line(line);
+        out << outcome.response << "\n" << std::flush;
+        // Over stdio there is no server distinct from the session, so both
+        // shutdown scopes end the loop.
+        return !outcome.shutdown;
+      },
+      [&out](const std::string& reply) { out << reply << "\n" << std::flush; });
   if (log::enabled()) {
     log::write(log::Level::kInfo, "daemon.stop", 0,
                {log::Field("requests", session.requests()),

@@ -324,8 +324,7 @@ int run_cli(const CliOptions& options, QueryEngine& engine,
   if (options.dot_usage) {
     const auto* spec = require_class(verifier, *options.dot_usage, err);
     if (spec == nullptr) return 2;
-    const fsm::Dfa usage = fsm::minimize(fsm::determinize(
-        core::usage_nfa(*spec, verifier.symbols())));
+    const fsm::Dfa usage = core::usage_dfa(*spec, verifier.symbols());
     out << viz::dot_dfa(usage, verifier.symbols(), spec->name + "_usage");
     return load_status;
   }
@@ -333,7 +332,7 @@ int run_cli(const CliOptions& options, QueryEngine& engine,
     const auto* spec = require_class(verifier, *options.monitor, err);
     if (spec == nullptr) return 2;
     // The compiled-table query hides the tiering (memo, then disk cache,
-    // then the usage_nfa/determinize/minimize/compile pipeline); a cold
+    // then the usage_dfa/compile pipeline); a cold
     // answer is the table the Monitor constructor would have compiled.
     core::Monitor monitor(verifier.symbols(), engine.compiled_table(*spec));
     std::string op;

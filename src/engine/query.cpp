@@ -174,10 +174,8 @@ fsm::CompiledDfa QueryEngine::compiled_table(const core::ClassSpec& spec) {
       },
       [&] {
         Built<fsm::CompiledDfa> built{
-            fsm::CompiledDfa::compile(
-                fsm::minimize(
-                    fsm::determinize(core::usage_nfa(spec, symbols))),
-                symbols),
+            fsm::CompiledDfa::compile(core::usage_dfa(spec, symbols),
+                                      symbols),
             {}};
         built.bytes = built.value.to_bytes();
         return built;

@@ -58,18 +58,6 @@ std::string reject_reply(Scheduler::Admission admission) {
   return writer.str();
 }
 
-/// The reply to a request line longer than the input limit.
-std::string line_too_long_reply(std::size_t limit) {
-  JsonWriter writer;
-  writer.begin_object();
-  writer.key("ok").value(false);
-  writer.key("error").value("request line exceeds the input limit of " +
-                            std::to_string(limit) +
-                            " bytes (--max-input-bytes)");
-  writer.end_object();
-  return writer.str();
-}
-
 }  // namespace
 
 SocketServer::SocketServer(const CliOptions& defaults,
@@ -187,42 +175,22 @@ void SocketServer::reader_loop(Connection& conn) {
       *err_ << text;
     }
   }
-  // `buffer` holds at most one partial line, already searched for '\n', so
-  // each byte is searched once however many reads a line takes.  A line
-  // longer than the input limit gets one error reply, sent from this
-  // thread like a scheduler reject, and is dropped through its '\n'
-  // without being buffered; the session keeps serving.
-  const std::size_t max_line = support::guard::limits().max_input_bytes;
-  std::string buffer;
-  bool discarding = false;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t got = ::recv(conn.fd, chunk, sizeof chunk, 0);
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) break;  // EOF or error: the session is over
-    const std::size_t searched = buffer.size();
-    buffer.append(chunk, static_cast<std::size_t>(got));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', searched);
-         nl != std::string::npos; nl = buffer.find('\n', start)) {
-      if (discarding) {
-        discarding = false;  // the over-long line ends here
-      } else if (nl - start > max_line) {
-        write_line(conn, line_too_long_reply(max_line));
-      } else {
-        std::string line = buffer.substr(start, nl - start);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (!line.empty()) dispatch_line(conn, std::move(line));
-      }
-      start = nl + 1;
-    }
-    buffer.erase(0, start);
-    if (!discarding && buffer.size() > max_line) {
-      write_line(conn, line_too_long_reply(max_line));
-      discarding = true;
-    }
-    if (discarding) buffer.clear();
-  }
+  // Over-long lines are answered from this thread, like a scheduler
+  // reject; the session keeps serving.
+  read_request_lines(
+      [&conn](char* data, std::size_t size) -> std::size_t {
+        for (;;) {
+          const ssize_t got = ::recv(conn.fd, data, size, 0);
+          if (got < 0 && errno == EINTR) continue;
+          // EOF or error: the session is over.
+          return got > 0 ? static_cast<std::size_t>(got) : 0;
+        }
+      },
+      [this, &conn](std::string line) {
+        dispatch_line(conn, std::move(line));
+        return true;
+      },
+      [this, &conn](const std::string& reply) { write_line(conn, reply); });
   // Drain this session's queued requests (their replies still go out),
   // then unregister.  Tasks never touch the connection after this
   // returns, so the serve thread may reap it.
@@ -341,10 +309,10 @@ int run_client(const CliOptions& options, std::istream& in,
       out.flush();
     }
   });
-  std::string line;
-  while (std::getline(in, line)) {
-    line.push_back('\n');
-    if (!send_all(fd, line.data(), line.size())) break;
+  // Lines go out in bounded pieces; the server bounds and answers them.
+  char piece[4096];
+  for (std::size_t got; (got = read_line_piece(in, piece, sizeof piece)) > 0;) {
+    if (!send_all(fd, piece, got)) break;
   }
   ::shutdown(fd, SHUT_WR);  // stdin EOF: let the server finish replying
   pump.join();

@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <fstream>
+#include <istream>
 #include <optional>
 #include <ostream>
 #include <set>
@@ -16,6 +17,7 @@
 #include "monitor/stream.hpp"
 #include "shelley/cache.hpp"
 #include "shelley/fingerprint.hpp"
+#include "support/guard.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/metrics.hpp"
@@ -103,7 +105,83 @@ std::string unique_metric_name(std::string name,
   }
 }
 
+/// The reply to a request line longer than the input limit.
+std::string line_too_long_reply(std::size_t limit) {
+  JsonWriter writer;
+  writer.begin_object();
+  writer.key("ok").value(false);
+  writer.key("error").value("request line exceeds the input limit of " +
+                            std::to_string(limit) +
+                            " bytes (--max-input-bytes)");
+  writer.end_object();
+  return writer.str();
+}
+
 }  // namespace
+
+void read_request_lines(
+    const std::function<std::size_t(char* data, std::size_t size)>& read,
+    const std::function<bool(std::string line)>& on_line,
+    const std::function<void(const std::string& reply)>& reject) {
+  const std::size_t max_line = support::guard::limits().max_input_bytes;
+  std::string buffer;
+  bool discarding = false;
+  char chunk[4096];
+  for (std::size_t got; (got = read(chunk, sizeof chunk)) > 0;) {
+    const std::size_t searched = buffer.size();
+    buffer.append(chunk, got);
+    std::size_t start = 0;
+    for (std::size_t nl = buffer.find('\n', searched);
+         nl != std::string::npos; nl = buffer.find('\n', start)) {
+      std::string_view line(buffer.data() + start, nl - start);
+      start = nl + 1;
+      if (discarding) {
+        discarding = false;  // the over-long line ends here
+        continue;
+      }
+      if (line.size() > max_line) {
+        reject(line_too_long_reply(max_line));
+        continue;
+      }
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (line.empty()) continue;
+      std::string request;
+      if (start == buffer.size() && line.data() == buffer.data()) {
+        // The line is the whole buffer: hand it over without a copy.
+        buffer.resize(line.size());
+        request = std::move(buffer);
+        buffer.clear();
+        start = 0;
+      } else {
+        request.assign(line);
+      }
+      if (!on_line(std::move(request))) return;
+    }
+    buffer.erase(0, start);
+    if (!discarding && buffer.size() > max_line) {
+      reject(line_too_long_reply(max_line));
+      discarding = true;
+    }
+    if (discarding) buffer.clear();
+  }
+}
+
+std::size_t read_line_piece(std::istream& in, char* data, std::size_t size) {
+  // One byte stays free for the '\n' that ends a last line at end of input.
+  in.getline(data, static_cast<std::streamsize>(size - 1));
+  std::size_t got = static_cast<std::size_t>(in.gcount());
+  if (in.bad()) return 0;
+  if (in.eof()) {
+    if (got > 0) data[got++] = '\n';
+    return got;
+  }
+  if (in.fail()) {
+    in.clear();  // `data` is full and the line goes on
+    return got;
+  }
+  data[got - 1] = '\n';  // getline counted the '\n' but did not store it
+  return got;
+}
 
 namespace testing {
 void fail_next_run(bool fail) {
@@ -247,9 +325,13 @@ struct SessionAccess {
       }
       checker.flush();
     } else if (const JsonValue* ndjson = request.find("ndjson")) {
-      std::string text = ndjson->as_string();
-      if (!text.empty() && text.back() != '\n') text.push_back('\n');
-      checker.ingest_ndjson(text);
+      // Checked in place; only an unterminated last line is copied, to
+      // give it the '\n' the decoder needs.
+      const std::string& text = ndjson->as_string();
+      const std::size_t consumed = checker.ingest_ndjson(text);
+      if (consumed < text.size()) {
+        checker.ingest_ndjson(text.substr(consumed) + '\n');
+      }
     } else if (const JsonValue* file = request.find("file")) {
       std::ifstream input(file->as_string(), std::ios::binary);
       if (!input) {

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -93,6 +94,26 @@ class Session {
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 };
+
+/// The request framing both transports share.  Reads `read` (which fills
+/// up to `size` bytes and returns the count, 0 at end of input) and hands
+/// each request line to `on_line` until it returns false: one '\r' before
+/// the '\n' is stripped and empty lines are skipped.  A line longer than
+/// the input limit (support::guard::limits().max_input_bytes) is answered
+/// once through `reject`, with the reply that names the bound, and dropped
+/// through its '\n' without being buffered.  At most one partial line is
+/// held, and each byte is searched for '\n' once however many reads a
+/// line takes.  An unterminated line at end of input is dropped.
+void read_request_lines(
+    const std::function<std::size_t(char* data, std::size_t size)>& read,
+    const std::function<bool(std::string line)>& on_line,
+    const std::function<void(const std::string& reply)>& reject);
+
+/// Reads the next piece of `in` into `data` (at most `size` >= 2 bytes),
+/// never past a '\n', so a reply can go out before the next request is
+/// read.  End of input ends an unterminated last line with a '\n', as
+/// std::getline would.  Returns 0 at end of input.
+std::size_t read_line_piece(std::istream& in, char* data, std::size_t size);
 
 namespace testing {
 /// Makes the next verify/report request fail as if run_cli threw -- the

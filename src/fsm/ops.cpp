@@ -1182,6 +1182,31 @@ Nfa map_labels(const Nfa& nfa, const std::function<Symbol(Symbol)>& map) {
   return out;
 }
 
+Dfa rename_letters(const Dfa& dfa,
+                   const std::function<Symbol(Symbol)>& rename) {
+  // (new letter, the old column it reads), sorted by the new letter.
+  std::vector<std::pair<Symbol, std::size_t>> columns;
+  for (std::size_t letter = 0; letter < dfa.alphabet().size(); ++letter) {
+    columns.emplace_back(rename(dfa.alphabet()[letter]), letter);
+  }
+  std::sort(columns.begin(), columns.end());
+  std::vector<Symbol> alphabet;
+  for (const auto& [symbol, column] : columns) alphabet.push_back(symbol);
+  if (std::adjacent_find(alphabet.begin(), alphabet.end()) != alphabet.end()) {
+    throw std::invalid_argument("fsm::rename_letters: rename not injective");
+  }
+  std::vector<StateId> table;
+  std::vector<bool> acc;
+  for (StateId s = 0; s < dfa.state_count(); ++s) {
+    for (const auto& [symbol, column] : columns) {
+      table.push_back(dfa.transition(s, column));
+    }
+    acc.push_back(dfa.is_accepting(s));
+  }
+  return Dfa::from_table(std::move(alphabet), std::move(table), std::move(acc),
+                         dfa.initial());
+}
+
 Nfa to_nfa(const Dfa& dfa) {
   Nfa out;
   out.add_states(dfa.state_count());

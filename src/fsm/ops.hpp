@@ -2,8 +2,8 @@
 // minimization (Hopcroft by default; Moore and Brzozowski as differential
 // oracles), boolean products, complement, emptiness, shortest witnesses,
 // lazy on-the-fly language inclusion over live successor rows (plain and
-// projected), union-find equivalence, alphabet extension, and label
-// homomorphisms (projection).
+// projected), union-find equivalence, alphabet extension, label
+// homomorphisms (projection), and letter renaming.
 #pragma once
 
 #include <cstdint>
@@ -152,6 +152,12 @@ class LiveRows {
 /// an invalid Symbol to turn the edge into ε (projection/erasure).
 [[nodiscard]] Nfa map_labels(const Nfa& nfa,
                              const std::function<Symbol(Symbol)>& map);
+
+/// Renames the letters of `dfa` by `rename`, injective on its alphabet
+/// (std::invalid_argument otherwise), and re-sorts the columns; states,
+/// transitions, acceptance and the initial state stay as they are.
+[[nodiscard]] Dfa rename_letters(const Dfa& dfa,
+                                 const std::function<Symbol(Symbol)>& rename);
 
 /// Converts a DFA back into an NFA (for composition).
 [[nodiscard]] Nfa to_nfa(const Dfa& dfa);

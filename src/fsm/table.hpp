@@ -4,8 +4,8 @@
 // and a letter-id event alphabet.  One step() is one bounded load; the
 // letter ids double as the wire event ids of the streaming monitor.
 //
-// The compiled form is the one cached monitor artifact: serialize()/
-// deserialize() define a versioned byte format (stored under its own
+// The compiled form is the one cached monitor artifact: to_bytes()/
+// from_bytes() define a versioned byte format (stored under its own
 // BehaviorCache kind, keyed by the class fingerprint) in which any
 // truncation or bit flip decodes to a structured BinaryFormatError, never
 // UB.

@@ -55,6 +55,11 @@ fsm::Nfa usage_nfa(const ClassSpec& spec, SymbolTable& table,
   return nfa;
 }
 
+fsm::Dfa usage_dfa(const ClassSpec& spec, SymbolTable& table,
+                   std::string_view prefix) {
+  return fsm::minimize(fsm::determinize(usage_nfa(spec, table, prefix)));
+}
+
 const fsm::Nfa& UsageAutomaton::nfa() {
   if (!nfa_) nfa_ = usage_nfa(spec_, table_);
   return *nfa_;
@@ -88,8 +93,10 @@ std::map<std::string, OperationBehavior> extract_behaviors(
       support::trace::Span lower_span("ir.lower");
       entry.program = ir::lower_block(op.body, context);
     }
-    entry.behavior = ir::analyze(entry.program);
-    entry.inferred = ir::infer_simplified(entry.program);
+    {
+      support::trace::Span infer_span("ir.infer");
+      entry.behavior = ir::analyze(entry.program);
+    }
     entry.falls_off_end =
         !rex::is_empty_language(rex::simplify(entry.behavior.ongoing));
     out.emplace(op.name, std::move(entry));
@@ -124,6 +131,10 @@ SystemModel build_system_model(
   // the operation with id = npos.
   std::map<std::string, std::map<std::size_t, fsm::StateId>> exits;
   constexpr std::size_t kImplicitExit = static_cast<std::size_t>(-1);
+  // The operations as their bodies realize them: per name, the exits its
+  // entry reaches (a redefinition replaces both), with the successors the
+  // wiring loop gives their states.
+  std::map<std::string, Operation> realized;
 
   std::set<Symbol> events;
   for (const Operation& op : spec.operations) {
@@ -137,31 +148,34 @@ SystemModel build_system_model(
 
     const fsm::StateId entry = nfa.add_state();
     entries[op.name] = entry;
+    Operation& reached = realized[op.name];
+    reached.name = op.name;
+    reached.initial = reached.initial || op.initial;
+    reached.final = op.final;
+    reached.exits.clear();
+    // An exit state reached from the entry through `regex`'s fragment.
+    const auto add_exit = [&](std::size_t id, const rex::Regex& regex) {
+      const fsm::StateId exit_state = nfa.add_state();
+      exits[op.name][id] = exit_state;
+      reached.exits.push_back(ExitPoint{id, {}, {}});
+      if (op.final) nfa.mark_accepting(exit_state);
+      const auto [frag_entry, frag_exit] = fsm::add_fragment(nfa, regex);
+      nfa.add_epsilon(entry, frag_entry);
+      nfa.add_epsilon(frag_exit, exit_state);
+      for (Symbol event : rex::alphabet(regex)) events.insert(event);
+    };
 
     // Route each returned behavior to its exit point's state.
     for (const ExitPoint& exit : op.exits) {
-      std::vector<rex::Regex> parts;
+      rex::Regex combined = rex::empty();
       for (const ir::ReturnedBehavior& returned : behavior.behavior.returned) {
         if (returned.exit_id == exit.id) {
-          parts.push_back(rex::simplify(returned.regex));
+          combined = rex::smart_alt(combined, rex::simplify(returned.regex));
         }
       }
-      rex::Regex combined = rex::empty();
-      for (const rex::Regex& part : parts) {
-        combined = rex::smart_alt(combined, part);
-      }
-      if (rex::is_empty_language(combined)) {
-        // No execution path reaches this return (e.g. the return was
-        // undecodable or dead code); the exit is unreachable.
-        continue;
-      }
-      const fsm::StateId exit_state = nfa.add_state();
-      exits[op.name][exit.id] = exit_state;
-      if (op.final) nfa.mark_accepting(exit_state);
-      const auto [frag_entry, frag_exit] = fsm::add_fragment(nfa, combined);
-      nfa.add_epsilon(entry, frag_entry);
-      nfa.add_epsilon(frag_exit, exit_state);
-      for (Symbol event : rex::alphabet(combined)) events.insert(event);
+      // An empty behavior means no execution path reaches this return (e.g.
+      // the return was undecodable or dead code); the exit is unreachable.
+      if (!rex::is_empty_language(combined)) add_exit(exit.id, combined);
     }
 
     // Paths that fall off the end of the method body return None and allow
@@ -174,13 +188,7 @@ SystemModel build_system_model(
                         "' can finish without executing a return statement; "
                         "such executions allow no successor operation");
       }
-      const fsm::StateId exit_state = nfa.add_state();
-      exits[op.name][kImplicitExit] = exit_state;
-      if (op.final) nfa.mark_accepting(exit_state);
-      const auto [frag_entry, frag_exit] = fsm::add_fragment(nfa, ongoing);
-      nfa.add_epsilon(entry, frag_entry);
-      nfa.add_epsilon(frag_exit, exit_state);
-      for (Symbol event : rex::alphabet(ongoing)) events.insert(event);
+      add_exit(kImplicitExit, ongoing);
     }
   }
 
@@ -200,10 +208,22 @@ SystemModel build_system_model(
       for (const std::string& successor : exit.successors) {
         connect(state->second, successor);
       }
+      for (ExitPoint& reached : realized.at(op.name).exits) {
+        if (reached.id != exit.id) continue;
+        reached.successors.insert(reached.successors.end(),
+                                  exit.successors.begin(),
+                                  exit.successors.end());
+      }
     }
   }
 
   model.event_symbols.assign(events.begin(), events.end());
+  ClassSpec reachable;
+  reachable.name = spec.name;
+  for (auto& [name, op] : realized) {
+    reachable.operations.push_back(std::move(op));
+  }
+  model.realizable = usage_nfa(reachable, table);
   span.arg("nfa_states", static_cast<std::uint64_t>(nfa.state_count()));
   span.arg("events", static_cast<std::uint64_t>(model.event_symbols.size()));
   return model;

@@ -6,6 +6,8 @@
 //                    after a final operation (or is empty: an instance may
 //                    be constructed and never used).
 //
+//  * usage_dfa    -- its minimal DFA, the one builder every consumer uses.
+//
 //  * UsageAutomaton -- one class's usage NFA and its subset construction,
 //                    built once and shared by every check of that class.
 //
@@ -40,6 +42,10 @@ namespace shelley::core {
 [[nodiscard]] fsm::Nfa usage_nfa(const ClassSpec& spec, SymbolTable& table,
                                  std::string_view prefix = "");
 
+/// The minimal DFA of usage_nfa(spec, table, prefix).
+[[nodiscard]] fsm::Dfa usage_dfa(const ClassSpec& spec, SymbolTable& table,
+                                 std::string_view prefix = "");
+
 /// The usage NFA of `spec` (no prefix) and its subset construction over the
 /// NFA's own alphabet, each built on first use and kept.  The verifier hands
 /// one instance to the completability lint, the claim check and the
@@ -66,7 +72,6 @@ class UsageAutomaton {
 struct OperationBehavior {
   ir::Program program;        // lowered IR with exit-tagged returns
   ir::Behavior behavior;      // ⟦p⟧ = (ongoing, returned)
-  rex::Regex inferred;        // infer(p), simplified
   bool falls_off_end = false; // L(ongoing) is non-empty: some path never
                               // reaches a return statement
 };
@@ -81,6 +86,8 @@ struct SystemModel {
   fsm::Nfa nfa;
   std::vector<Symbol> op_symbols;     // labels of the composite's operations
   std::vector<Symbol> event_symbols;  // subsystem calls `field.method`
+  fsm::Nfa realizable;  // usage NFA over the exits the bodies reach:
+                        // `nfa` with the events erased, without ε-edges
 
   [[nodiscard]] std::vector<Symbol> full_alphabet() const;
 };

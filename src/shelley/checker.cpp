@@ -44,13 +44,11 @@ std::string CheckResult::render(const SymbolTable& table) const {
   return out;
 }
 
-std::string diagnose_subsystem_usage(const ClassSpec& spec,
+std::string diagnose_subsystem_usage(const fsm::Dfa& usage,
                                      std::string_view field,
-                                     const Word& projected,
-                                     SymbolTable& table) {
+                                     const Word& word,
+                                     const SymbolTable& table) {
   const std::string prefix = std::string(field) + ".";
-  const fsm::Dfa usage =
-      fsm::minimize(fsm::determinize(usage_nfa(spec, table, prefix)));
   const std::vector<bool> live = fsm::live_states(usage);
 
   // Simulate step by step; mark the first step that kills the run, or the
@@ -58,11 +56,11 @@ std::string diagnose_subsystem_usage(const ClassSpec& spec,
   std::vector<std::string> rendered;
   fsm::StateId state = usage.initial();
   std::optional<std::string> verdict;
-  for (std::size_t i = 0; i < projected.size(); ++i) {
-    const std::string& qualified = table.name(projected[i]);
-    std::string op = qualified;
-    if (op.starts_with(prefix)) op = op.substr(prefix.size());
-    const auto letter = usage.letter_index(projected[i]);
+  for (Symbol symbol : word) {
+    const std::string& qualified = table.name(symbol);
+    if (!qualified.starts_with(prefix)) continue;  // another field's event
+    const std::string op = qualified.substr(prefix.size());
+    const auto letter = usage.letter_index(symbol);
     if (!letter) {
       rendered.push_back(">" + op + "<");
       verdict = "(undeclared operation)";
@@ -88,28 +86,32 @@ std::string diagnose_subsystem_usage(const ClassSpec& spec,
 
 namespace {
 
-/// Projects `word` onto the symbols that start with `prefix`.
-Word project_word(const Word& word, std::string_view prefix,
-                  const SymbolTable& table) {
-  Word out;
-  for (Symbol s : word) {
-    if (starts_with(table.name(s), prefix)) out.push_back(s);
-  }
-  return out;
-}
+/// What a claim is checked against: an NFA (the tableau's input), the
+/// alphabet the claim ranges over, and the NFA's minimal DFA for the
+/// oracle: `dfa`, or made by `build` on first use (never by kTableau).
+struct ClaimTarget {
+  const fsm::Nfa& nfa;
+  const std::vector<Symbol>& alphabet;
+  std::function<fsm::Dfa()> build;
+  std::optional<fsm::Dfa> built = std::nullopt;
+  const fsm::Dfa* dfa = nullptr;
 
-/// Answers one claim with the configured engine(s).  `system` and `alphabet`
-/// feed the tableau; `system_dfa` lazily builds the determinized system for
-/// the oracle path, so kTableau never pays for a subset construction.
-std::optional<Word> claim_counterexample(
-    const fsm::Nfa& system, const std::vector<Symbol>& alphabet,
-    const std::function<const fsm::Dfa&()>& system_dfa,
-    const ltlf::Formula& formula, const std::string& claim_text,
-    LtlfEngine engine) {
-  if (engine == LtlfEngine::kDfa) {
-    return ltlf::counterexample(system_dfa(), formula);
+  const fsm::Dfa& minimal() {
+    if (dfa == nullptr) dfa = &built.emplace(build());
+    return *dfa;
   }
-  ltlf::TableauResult tableau = ltlf::check_tableau(system, alphabet, formula);
+};
+
+/// Answers one claim against `target` with the configured engine(s).
+std::optional<Word> claim_counterexample(ClaimTarget& target,
+                                         const ltlf::Formula& formula,
+                                         const std::string& claim_text,
+                                         LtlfEngine engine) {
+  if (engine == LtlfEngine::kDfa) {
+    return ltlf::counterexample(target.minimal(), formula);
+  }
+  ltlf::TableauResult tableau =
+      ltlf::check_tableau(target.nfa, target.alphabet, formula);
   if (tableau.verdict == ltlf::TableauVerdict::kLimited) {
     if (engine == LtlfEngine::kTableau) {
       // Surfaced exactly like the DFA path's budget trips, so verify_spec's
@@ -118,7 +120,7 @@ std::optional<Word> claim_counterexample(
           support::guard::Resource::kStateBudget, {},
           "ltlf::check_tableau: " + tableau.limit);
     }
-    return ltlf::counterexample(system_dfa(), formula);  // oracle decides
+    return ltlf::counterexample(target.minimal(), formula);  // oracle decides
   }
   std::optional<Word> witness;
   if (tableau.verdict == ltlf::TableauVerdict::kCounterexample) {
@@ -131,7 +133,7 @@ std::optional<Word> claim_counterexample(
   // lexicographically least shortest violation), and the witness must
   // *independently* check out -- a word of L(system) that eval rejects.
   const std::optional<Word> oracle =
-      ltlf::counterexample(system_dfa(), formula);
+      ltlf::counterexample(target.minimal(), formula);
   std::string mismatch;
   if (g_force_ltlf_disagreement.exchange(false, std::memory_order_relaxed)) {
     mismatch = "disagreement injected by testing hook";
@@ -142,7 +144,7 @@ std::optional<Word> claim_counterexample(
                          "claim";
   } else if (witness && *witness != *oracle) {
     mismatch = "engines found different counterexamples";
-  } else if (witness && !system.accepts(*witness)) {
+  } else if (witness && !target.nfa.accepts(*witness)) {
     mismatch = "counterexample is not a word of the system language";
   } else if (witness && ltlf::eval(formula, *witness)) {
     mismatch = "counterexample does not violate the formula";
@@ -179,53 +181,12 @@ void lint_claim(const ltlf::Formula& formula,
   }
 }
 
-}  // namespace
-
-std::optional<Word> unrealizable_usage(const ClassSpec& composite,
-                                       const SystemModel& model,
-                                       SymbolTable& table) {
-  UsageAutomaton usage(composite, table);
-  return unrealizable_usage(model, usage);
-}
-
-std::optional<Word> unrealizable_usage(const SystemModel& model,
-                                       UsageAutomaton& usage) {
-  // Project the system language onto the composite's own op labels; by
-  // construction it is included in the declared usage language, so only
-  // the reverse inclusion needs a witness.
-  std::set<Symbol> op_labels(model.op_symbols.begin(),
-                             model.op_symbols.end());
-  const fsm::Nfa projected = fsm::map_labels(
-      model.nfa,
-      [&](Symbol s) { return op_labels.contains(s) ? s : Symbol{}; });
-  const fsm::Dfa realizable = fsm::determinize(
-      projected, std::vector<Symbol>(op_labels.begin(), op_labels.end()));
-  return fsm::inclusion_witness(usage.subsets(), realizable);
-}
-
-CheckResult check_base_claims(const ClassSpec& spec, SymbolTable& table,
-                              DiagnosticEngine& diagnostics,
-                              const CheckOptions& options) {
-  UsageAutomaton usage(spec, table);
-  return check_base_claims(spec, usage, table, diagnostics, options);
-}
-
-CheckResult check_base_claims(const ClassSpec& spec, UsageAutomaton& usage,
-                              SymbolTable& table,
-                              DiagnosticEngine& diagnostics,
-                              const CheckOptions& options) {
-  CheckResult result;
-  if (spec.claims.empty()) return result;
-  support::trace::Span span("shelley.check_base_claims");
-  span.arg("class", spec.name);
-  span.arg("claims", static_cast<std::uint64_t>(spec.claims.size()));
-  const fsm::Nfa& nfa = usage.nfa();
-  const std::vector<Symbol>& alphabet = nfa.alphabet();
-  std::optional<fsm::Dfa> minimal;  // only the oracle path pays for it
-  const auto get_dfa = [&]() -> const fsm::Dfa& {
-    if (!minimal) minimal = fsm::minimize(usage.subsets());
-    return *minimal;
-  };
+/// Parses, lints and checks every claim of `spec`: against `ops` when an
+/// atom names one of `op_labels`, else against `events`.
+void check_claims(const ClassSpec& spec, SymbolTable& table,
+                  DiagnosticEngine& diagnostics, const CheckOptions& options,
+                  ClaimTarget& events, ClaimTarget& ops,
+                  const std::set<Symbol>& op_labels, CheckResult& result) {
   for (const Claim& claim : spec.claims) {
     support::trace::Span claim_span("shelley.claim");
     claim_span.arg("formula", claim.text);
@@ -238,14 +199,43 @@ CheckResult check_base_claims(const ClassSpec& spec, UsageAutomaton& usage,
                                        claim.text + "\": " + error.what());
       continue;
     }
-    if (options.lint_claims) {
-      lint_claim(formula, alphabet, spec, claim, diagnostics, result);
+    bool mentions_ops = false;
+    for (Symbol atom : ltlf::atoms(formula)) {
+      if (op_labels.contains(atom)) mentions_ops = true;
     }
-    const auto witness = claim_counterexample(
-        nfa, alphabet, get_dfa, formula, claim.text, options.ltlf_engine);
+    ClaimTarget& target = mentions_ops ? ops : events;
+    if (options.lint_claims) {
+      lint_claim(formula, target.alphabet, spec, claim, diagnostics, result);
+    }
+    const auto witness = claim_counterexample(target, formula, claim.text,
+                                              options.ltlf_engine);
     if (!witness) continue;
     result.claim_errors.push_back(ClaimError{claim.text, *witness});
   }
+}
+
+}  // namespace
+
+std::optional<Word> unrealizable_usage(const SystemModel& model,
+                                       UsageAutomaton& usage) {
+  // Every system word projects into the declared usage by construction,
+  // so only the reverse inclusion needs a witness.
+  return fsm::inclusion_witness(usage.subsets(),
+                                fsm::determinize(model.realizable));
+}
+
+CheckResult check_base_claims(const ClassSpec& spec, UsageAutomaton& usage,
+                              SymbolTable& table,
+                              DiagnosticEngine& diagnostics,
+                              const CheckOptions& options) {
+  CheckResult result;
+  if (spec.claims.empty()) return result;
+  support::trace::Span span("shelley.check_base_claims");
+  span.arg("class", spec.name);
+  span.arg("claims", static_cast<std::uint64_t>(spec.claims.size()));
+  ClaimTarget target{usage.nfa(), usage.nfa().alphabet(),
+                     [&] { return fsm::minimize(usage.subsets()); }};
+  check_claims(spec, table, diagnostics, options, target, target, {}, result);
   return result;
 }
 
@@ -285,6 +275,11 @@ CheckResult check_composite(const ClassSpec& composite,
   }
 
   // -- Subsystem usage ---------------------------------------------------
+  // One usage DFA per subsystem class, built with its first field's
+  // prefix.  Each later field of the class reads a copy with the letters
+  // renamed to its own; the rename interns the field's names in operation
+  // order, as usage_nfa would, so symbol ids stay where they were.
+  std::map<const ClassSpec*, std::pair<std::string, fsm::Dfa>> class_usage;
   for (const SubsystemDecl& subsystem : composite.subsystems) {
     support::trace::Span sub_span("shelley.subsystem");
     sub_span.arg("field", subsystem.field);
@@ -298,79 +293,55 @@ CheckResult check_composite(const ClassSpec& composite,
       continue;
     }
     const std::string prefix = subsystem.field + ".";
-    const fsm::Dfa usage =
-        fsm::minimize(fsm::determinize(usage_nfa(*sub_spec, table, prefix)));
+    auto shared = class_usage.find(sub_spec);
+    std::optional<fsm::Dfa> renamed;
+    if (shared == class_usage.end()) {
+      shared = class_usage
+                   .try_emplace(sub_spec, prefix,
+                                usage_dfa(*sub_spec, table, prefix))
+                   .first;
+    } else {
+      for (const Operation& op : sub_spec->operations) {
+        (void)table.intern(prefix + op.name);
+      }
+      const std::size_t cut = shared->second.first.size();
+      renamed = fsm::rename_letters(shared->second.second, [&](Symbol letter) {
+        return table.intern(prefix + table.name(letter).substr(cut));
+      });
+    }
+    const fsm::Dfa& field_usage = renamed ? *renamed : shared->second.second;
     // A system word is a witness when its projection onto this subsystem
     // is not a valid complete usage: the search steps the usage DFA on its
     // own letters and leaves it in place on every foreign one.
-    const auto witness = fsm::projected_inclusion_witness(system_rows, usage);
+    const auto witness =
+        fsm::projected_inclusion_witness(system_rows, field_usage);
     if (!witness) continue;
     SubsystemError error;
     error.field = subsystem.field;
     error.class_name = subsystem.class_name;
     error.counterexample = *witness;
-    error.detail = diagnose_subsystem_usage(
-        *sub_spec, subsystem.field,
-        project_word(*witness, prefix, table), table);
+    error.detail =
+        diagnose_subsystem_usage(field_usage, subsystem.field, *witness, table);
     result.subsystem_errors.push_back(std::move(error));
   }
 
   // -- Temporal claims -----------------------------------------------------
-  if (!composite.claims.empty()) {
-    // Claims usually speak about subsystem events (`a.open`); claims whose
-    // atoms mention the composite's own operation labels are checked
-    // against the unprojected system language instead.
-    std::set<Symbol> op_labels(model.op_symbols.begin(),
-                               model.op_symbols.end());
-    const fsm::Nfa projected =
-        fsm::map_labels(model.nfa, [&](Symbol s) {
-          return op_labels.contains(s) ? Symbol{} : s;
-        });
-    // The projected determinization is lazy: the tableau engine runs
-    // straight on the NFAs and never needs it.  Claims over op labels reuse
-    // the system DFA built above.
-    std::optional<fsm::Dfa> projected_dfa;
-    const auto get_projected_dfa = [&]() -> const fsm::Dfa& {
-      if (!projected_dfa) {
-        projected_dfa =
-            fsm::minimize(fsm::determinize(projected, model.event_symbols));
-      }
-      return *projected_dfa;
-    };
-    const auto get_full_dfa = [&]() -> const fsm::Dfa& { return system; };
-
-    for (const Claim& claim : composite.claims) {
-      support::trace::Span claim_span("shelley.claim");
-      claim_span.arg("formula", claim.text);
-      ltlf::Formula formula;
-      try {
-        formula = ltlf::parse(claim.text, table, claim.loc);
-      } catch (const ParseError& error) {
-        diagnostics.error(error.loc(), "class '" + composite.name +
-                                         "': cannot parse claim \"" +
-                                         claim.text + "\": " + error.what());
-        continue;
-      }
-      bool mentions_ops = false;
-      for (Symbol atom : ltlf::atoms(formula)) {
-        if (op_labels.contains(atom)) mentions_ops = true;
-      }
-      const fsm::Nfa& target = mentions_ops ? model.nfa : projected;
-      const std::vector<Symbol>& claim_alphabet =
-          mentions_ops ? alphabet : model.event_symbols;
-      if (options.lint_claims) {
-        lint_claim(formula, claim_alphabet, composite, claim, diagnostics,
-                   result);
-      }
-      const auto witness = claim_counterexample(
-          target, claim_alphabet,
-          mentions_ops ? std::function<const fsm::Dfa&()>(get_full_dfa)
-                       : std::function<const fsm::Dfa&()>(get_projected_dfa),
-          formula, claim.text, options.ltlf_engine);
-      if (!witness) continue;
-      result.claim_errors.push_back(ClaimError{claim.text, *witness});
-    }
-  }
+  if (composite.claims.empty()) return result;
+  // Claims usually speak about subsystem events (`a.open`) and see the
+  // system with the composite's own operation labels erased; claims whose
+  // atoms mention those labels see the unprojected system language, and
+  // the oracle reuses the system DFA built above for them.
+  const std::set<Symbol> op_labels(model.op_symbols.begin(),
+                                   model.op_symbols.end());
+  const fsm::Nfa projected = fsm::map_labels(model.nfa, [&](Symbol s) {
+    return op_labels.contains(s) ? Symbol{} : s;
+  });
+  ClaimTarget events{projected, model.event_symbols, [&] {
+    return fsm::minimize(fsm::determinize(projected, model.event_symbols));
+  }};
+  ClaimTarget full{model.nfa, alphabet, {}, {}, &system};
+  check_claims(composite, table, diagnostics, options, events, full, op_labels,
+               result);
   return result;
 }
 

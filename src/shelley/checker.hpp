@@ -100,27 +100,24 @@ using ClassLookup = std::function<const ClassSpec*(const std::string&)>;
                                           const CheckOptions& options);
 
 /// Checks the @claim annotations of a *base* class against its valid-usage
-/// language (atoms are bare operation names).  Composites are handled by
-/// check_composite, which sees subsystem events as well.
-[[nodiscard]] CheckResult check_base_claims(const ClassSpec& spec,
-                                            SymbolTable& table,
-                                            DiagnosticEngine& diagnostics,
-                                            const CheckOptions& options = {});
-
-/// check_base_claims reusing `usage`, `spec`'s usage automaton.  Only the
-/// DFA oracle minimizes its subset construction.
+/// language (atoms are bare operation names), reusing `usage`, `spec`'s
+/// usage automaton.  Only the DFA oracle minimizes its subset construction.
+/// Composites are handled by check_composite, which sees subsystem events
+/// as well.
 [[nodiscard]] CheckResult check_base_claims(const ClassSpec& spec,
                                             UsageAutomaton& usage,
                                             SymbolTable& table,
                                             DiagnosticEngine& diagnostics,
                                             const CheckOptions& options);
 
-/// Explains why `projected` (a word over `<field>.<op>` symbols) is not a
-/// valid complete usage of `spec`: renders the op sequence with the
-/// offending call marked `>op<` plus "(not final)" or "(not allowed)".
-[[nodiscard]] std::string diagnose_subsystem_usage(
-    const ClassSpec& spec, std::string_view field, const Word& projected,
-    SymbolTable& table);
+/// Explains why the projection of `word` onto its `<field>.<op>` symbols
+/// is not a valid complete usage, walking `usage`, the field's usage DFA:
+/// renders the op sequence with the offending call marked `>op<` plus
+/// "(not final)" or "(not allowed)".
+[[nodiscard]] std::string diagnose_subsystem_usage(const fsm::Dfa& usage,
+                                                   std::string_view field,
+                                                   const Word& word,
+                                                   const SymbolTable& table);
 
 namespace testing {
 /// Makes the next `both`-mode claim check report an engine disagreement even
@@ -132,14 +129,10 @@ void force_ltlf_disagreement(bool force);
 
 /// Realizability: every usage declared by the composite's own annotations
 /// should be executable by some run of its method bodies.  Undecodable
-/// returns or unreachable exits silently shrink the realizable language;
-/// this detects the gap and returns a declared-but-unrealizable operation
-/// sequence (nullopt when every declared usage is realizable).
-[[nodiscard]] std::optional<Word> unrealizable_usage(
-    const ClassSpec& composite, const SystemModel& model,
-    SymbolTable& table);
-
-/// unrealizable_usage against `usage`, the composite's usage automaton.
+/// returns or unreachable exits silently shrink the realizable language
+/// (`model.realizable`); this detects the gap against `usage`, the
+/// composite's usage automaton, and returns a declared-but-unrealizable
+/// operation sequence (nullopt when every declared usage is realizable).
 [[nodiscard]] std::optional<Word> unrealizable_usage(const SystemModel& model,
                                                      UsageAutomaton& usage);
 

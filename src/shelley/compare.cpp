@@ -8,10 +8,8 @@ namespace shelley::core {
 std::optional<SpecDifference> compare_specs(const ClassSpec& first,
                                             const ClassSpec& second,
                                             SymbolTable& table) {
-  const fsm::Dfa lhs =
-      fsm::minimize(fsm::determinize(usage_nfa(first, table)));
-  const fsm::Dfa rhs =
-      fsm::minimize(fsm::determinize(usage_nfa(second, table)));
+  const fsm::Dfa lhs = usage_dfa(first, table);
+  const fsm::Dfa rhs = usage_dfa(second, table);
   if (const auto witness = fsm::inclusion_witness(lhs, rhs)) {
     return SpecDifference{*witness, true};
   }

@@ -1,6 +1,5 @@
 #include "shelley/monitor.hpp"
 
-#include "fsm/ops.hpp"
 #include "shelley/automata.hpp"
 
 namespace shelley::core {
@@ -18,8 +17,7 @@ std::string_view to_string(Verdict verdict) {
 }
 
 Monitor::Monitor(const ClassSpec& spec, SymbolTable& table)
-    : Monitor(table,
-              fsm::minimize(fsm::determinize(usage_nfa(spec, table)))) {}
+    : Monitor(table, usage_dfa(spec, table)) {}
 
 Monitor::Monitor(SymbolTable& table, const fsm::Dfa& dfa)
     : Monitor(table, fsm::CompiledDfa::compile(dfa, table)) {}

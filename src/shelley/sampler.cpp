@@ -44,7 +44,7 @@ std::vector<std::size_t> acceptance_distance(const fsm::Dfa& dfa) {
 TraceSampler::TraceSampler(const ClassSpec& spec, SymbolTable& table,
                            std::uint64_t seed)
     : table_(&table),
-      dfa_(fsm::minimize(fsm::determinize(usage_nfa(spec, table)))),
+      dfa_(usage_dfa(spec, table)),
       live_(fsm::live_states(dfa_)),
       rng_(seed) {}
 

@@ -147,8 +147,8 @@ void Verifier::warm_symbols(const ClassSpec& spec) {
       (void)ir::lower_block(op.body, context);
     }
     // build_system_model re-interns the bare operation names (no-ops by
-    // now); the per-subsystem monitors intern the prefix-qualified names of
-    // each subsystem class's operations.
+    // now); the per-subsystem usage DFAs, built or renamed, intern the
+    // prefix-qualified names of each subsystem class's operations.
     for (const SubsystemDecl& subsystem : spec.subsystems) {
       const ClassSpec* sub_spec = find_class(subsystem.class_name);
       if (sub_spec == nullptr) continue;

@@ -502,10 +502,13 @@ std::string monitor_request(const std::string& form,
   return writer.str();
 }
 
-/// The raw reply lines of one in-process stdio daemon session.
+/// The raw reply lines of one in-process stdio daemon session.  Its
+/// request lines may run past the 8 MiB default input limit (the blob
+/// request is 11.4 MB), so the session raises the limit to 64 MiB.
 std::vector<std::string> raw_replies(const std::vector<std::string>& requests) {
   CliOptions session;
   session.jobs = 1;
+  session.max_input_bytes = std::size_t{64} << 20;
   std::string input;
   for (const std::string& request : requests) input += request + "\n";
   std::istringstream in(input);
@@ -543,6 +546,31 @@ TEST_F(DaemonTest, MonitorBinaryFileAnswersLikeTheNdjsonBlob) {
        monitor_request("file", path("events.smev"), "binary")});
   ASSERT_EQ(replies.size(), 3u);
   EXPECT_TRUE(parse_json(replies[1]).at("ok").as_bool());
+  EXPECT_EQ(replies[2], replies[1]);
+}
+
+TEST_F(DaemonTest, OverLongLineGetsTheSocketErrorAndTheSessionKeepsServing) {
+  // Framed exactly like the socket reader: one '\r' before the '\n' is
+  // stripped, blank lines are skipped, a line over the bound gets the
+  // socket's error text and is dropped, and an unterminated last line
+  // still counts.
+  CliOptions session;
+  session.max_input_bytes = 65536;
+  std::istringstream in(std::string(1u << 20, 'a') + "\n\r\n\n" +
+                        R"({"cmd":"version"})" + "\r\n" +
+                        R"({"cmd":"version"})");
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run_daemon(session, in, out, err), 0);
+  std::vector<std::string> replies;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) replies.push_back(line);
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0],
+            R"x({"ok":false,"error":"request line exceeds the input limit )x"
+            R"x(of 65536 bytes (--max-input-bytes)"})x");
+  EXPECT_EQ(parse_json(replies[1]).at("version").as_string(),
+            core::kToolchainVersion);
   EXPECT_EQ(replies[2], replies[1]);
 }
 

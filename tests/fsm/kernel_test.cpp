@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -289,6 +290,39 @@ TEST_F(KernelTest, LiveRowsDropDeadTargetsAndKeepLettersAscending) {
   (void)inclusion_witness(dfa, dfa);
   EXPECT_EQ(run(0), (Run{{0, 1}, {2, 0}}));
   EXPECT_EQ(run(3), (Run{{1, 1}}));
+}
+
+TEST_F(KernelTest, RenameLettersResortsColumnsAndKeepsStates) {
+  // Over [a, b, c]: state 0 --a--> 1 --b--> 2 (accepting); c and every
+  // other cell lead to the sink 3.
+  Dfa dfa(4, {a_, b_, c_});
+  for (StateId s = 0; s < 4; ++s) {
+    for (std::size_t letter = 0; letter < 3; ++letter) {
+      dfa.set_transition(s, letter, 3);
+    }
+  }
+  dfa.set_transition(0, 0, 1);
+  dfa.set_transition(1, 1, 2);
+  dfa.set_accepting(2, true);
+  dfa.set_initial(0);
+
+  // a -> c, b -> a, c -> b: the columns must be re-sorted as [a, b, c].
+  const Dfa renamed = rename_letters(dfa, [&](Symbol s) {
+    return s == a_ ? c_ : s == b_ ? a_ : b_;
+  });
+  ASSERT_EQ(renamed.alphabet(), (std::vector<Symbol>{a_, b_, c_}));
+  EXPECT_EQ(renamed.state_count(), dfa.state_count());
+  EXPECT_EQ(renamed.initial(), dfa.initial());
+  EXPECT_EQ(renamed.transition(0, 2), 1u);  // was a
+  EXPECT_EQ(renamed.transition(1, 0), 2u);  // was b
+  EXPECT_EQ(renamed.transition(0, 0), 3u);
+  EXPECT_TRUE(renamed.is_accepting(2));
+  EXPECT_FALSE(renamed.is_accepting(3));
+  EXPECT_TRUE(renamed.accepts({c_, a_}));
+  EXPECT_FALSE(renamed.accepts({a_, b_}));
+
+  EXPECT_THROW((void)rename_letters(dfa, [&](Symbol) { return a_; }),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -103,7 +103,7 @@ TEST_F(AutomataTest, BadSectorBehaviors) {
   // open_a: a.test then either a.open (exit 0) or a.clean (exit 1).
   const OperationBehavior& open_a = behaviors.at("open_a");
   EXPECT_TRUE(rex::equivalent(
-      open_a.inferred,
+      ir::infer_simplified(open_a.program),
       rex::parse("a.test (a.open + a.clean)", table_)));
   EXPECT_FALSE(open_a.falls_off_end);
   ASSERT_EQ(open_a.behavior.returned.size(), 2u);
@@ -111,7 +111,7 @@ TEST_F(AutomataTest, BadSectorBehaviors) {
   // open_b closes both valves on the open path.
   const OperationBehavior& open_b = behaviors.at("open_b");
   EXPECT_TRUE(rex::equivalent(
-      open_b.inferred,
+      ir::infer_simplified(open_b.program),
       rex::parse("b.test (b.open a.close b.close + b.clean a.close)",
                  table_)));
 }
@@ -122,7 +122,8 @@ TEST_F(AutomataTest, BehaviorOfBaseClassOpsIsEpsilon) {
   // No subsystems tracked: every body behavior is ε.
   for (const auto& [name, behavior] : behaviors) {
     EXPECT_TRUE(
-        rex::equivalent(behavior.inferred, rex::epsilon()))
+        rex::equivalent(ir::infer_simplified(behavior.program),
+                        rex::epsilon()))
         << name;
   }
 }

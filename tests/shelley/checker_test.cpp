@@ -253,28 +253,32 @@ TEST_F(CheckerTest, ClaimCounterexampleContainsOnlySubsystemEvents) {
 TEST_F(CheckerTest, DiagnoseNotFinal) {
   load_(examples::kValveSource);
   Word projected{table_.intern("a.test"), table_.intern("a.open")};
-  EXPECT_EQ(diagnose_subsystem_usage(spec_("Valve"), "a", projected, table_),
+  EXPECT_EQ(diagnose_subsystem_usage(usage_dfa(spec_("Valve"), table_, "a."),
+                                     "a", projected, table_),
             "test, >open< (not final)");
 }
 
 TEST_F(CheckerTest, DiagnoseNotAllowed) {
   load_(examples::kValveSource);
   Word projected{table_.intern("a.open")};
-  EXPECT_EQ(diagnose_subsystem_usage(spec_("Valve"), "a", projected, table_),
+  EXPECT_EQ(diagnose_subsystem_usage(usage_dfa(spec_("Valve"), table_, "a."),
+                                     "a", projected, table_),
             ">open< (not allowed)");
 }
 
 TEST_F(CheckerTest, DiagnoseValidWordRendersPlainly) {
   load_(examples::kValveSource);
   Word projected{table_.intern("a.test"), table_.intern("a.clean")};
-  EXPECT_EQ(diagnose_subsystem_usage(spec_("Valve"), "a", projected, table_),
+  EXPECT_EQ(diagnose_subsystem_usage(usage_dfa(spec_("Valve"), table_, "a."),
+                                     "a", projected, table_),
             "test, clean");
 }
 
 TEST_F(CheckerTest, DiagnoseUndeclaredOperation) {
   load_(examples::kValveSource);
   Word projected{table_.intern("a.test"), table_.intern("a.explode")};
-  EXPECT_EQ(diagnose_subsystem_usage(spec_("Valve"), "a", projected, table_),
+  EXPECT_EQ(diagnose_subsystem_usage(usage_dfa(spec_("Valve"), table_, "a."),
+                                     "a", projected, table_),
             "test, >explode< (undeclared operation)");
 }
 

@@ -67,7 +67,8 @@ CheckResult run_base(Verifier& verifier, LtlfEngine engine) {
   DiagnosticEngine sink;
   CheckOptions options;
   options.ltlf_engine = engine;
-  return check_base_claims(*spec, verifier.symbols(), sink, options);
+  UsageAutomaton usage(*spec, verifier.symbols());
+  return check_base_claims(*spec, usage, verifier.symbols(), sink, options);
 }
 
 TEST(EngineModes, AllEnginesAgreeOnBaseClaims) {

@@ -22,7 +22,8 @@ class RealizabilityTest : public ::testing::Test {
     const ClassSpec& spec = specs_.back();
     const auto behaviors = extract_behaviors(spec, table_, diagnostics_);
     model_ = build_system_model(spec, behaviors, table_, diagnostics_);
-    return unrealizable_usage(spec, *model_, table_);
+    UsageAutomaton usage(spec, table_);
+    return unrealizable_usage(*model_, usage);
   }
 
   std::deque<ClassSpec> specs_;

@@ -186,14 +186,15 @@ TEST_F(SharedUsageAutomatonTest, CompositesDeterminizeTheirUsageOnce) {
   verifier.add_source(examples::kGoodSectorSource);
   const Report report = verifier.verify_all(1);
   // Per composite: its own usage (shared by the completability lint and
-  // the realizability check), the system, the realizable op projection,
-  // one usage per subsystem, the event projection when it has a claim, and
-  // one more usage per failing subsystem for the diagnosis.
+  // the realizability check), the system, the realizable usage, one usage
+  // per subsystem class (both Valve fields share it, and a failing
+  // field's diagnosis walks it), and the event projection when it has a
+  // claim.
   const std::map<std::string, std::uint64_t> expected = {
       {"Valve", 1},      // its usage, for the completability lint
-      {"BadSector", 7},  // 1 + 1 + 1 + 2 + 1 + 1 (subsystem 'a' fails)
-      {"Sector", 5},     // 1 + 1 + 1 + 2
-      {"GoodSector", 6}, // 1 + 1 + 1 + 2 + 1
+      {"BadSector", 5},  // 1 + 1 + 1 + 1 + 1 (subsystem 'a' fails)
+      {"Sector", 4},     // 1 + 1 + 1 + 1
+      {"GoodSector", 5}, // 1 + 1 + 1 + 1 + 1
   };
   ASSERT_EQ(report.classes.size(), expected.size());
   std::uint64_t total = 0;
